@@ -10,16 +10,17 @@ import argparse
 import sys
 
 from . import lang, qa
+from .abduction import abduce_membership
 from .agency import classify_aim
+from .kb import KbError
 from .logic3 import Value3
 from .syllogistics import closure, contradictions
 
 
-def _load_session(path: str | None, existential_import: bool,
-                  seed: int) -> qa.Session:
+def _load_session(path: str | None, existential_import: bool) -> qa.Session:
     if path is None:
-        return qa.Session(existential_import=existential_import, seed=seed)
-    return qa.load_kb(path, existential_import=existential_import, seed=seed)
+        return qa.Session(existential_import=existential_import)
+    return qa.load_kb(path, existential_import=existential_import)
 
 
 def _print_answer(ans: qa.Answer, show_trace: bool, out) -> None:
@@ -33,8 +34,7 @@ def _print_answer(ans: qa.Answer, show_trace: bool, out) -> None:
 
 def cmd_ask(args) -> int:
     try:
-        session = _load_session(args.kb, args.existential_import == "on",
-                                args.seed)
+        session = _load_session(args.kb, args.existential_import == "on")
         ans = session.ask_line(args.question)
     except (lang.ParseError, qa.LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -45,7 +45,7 @@ def cmd_ask(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        session = _load_session(args.kb, False, 0)
+        session = _load_session(args.kb, False)
     except (qa.LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -62,8 +62,7 @@ def cmd_check(args) -> int:
 
 def cmd_repl(args) -> int:
     try:
-        session = _load_session(args.kb, args.existential_import == "on",
-                                args.seed)
+        session = _load_session(args.kb, args.existential_import == "on")
     except (qa.LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -100,7 +99,7 @@ def repl(session: qa.Session, stdin, stdout) -> int:
                 print(f"ok #{revision}", file=stdout)
                 for aim in aims:
                     print(f"aim: {aim.description}", file=stdout)
-        except (lang.ParseError, qa.LoadError) as exc:
+        except (lang.ParseError, qa.LoadError, KbError) as exc:
             print(f"error: {exc}", file=stdout)
 
 
@@ -112,8 +111,7 @@ def _command(session: qa.Session, line: str, stdout) -> int | None:
             return 0
         if cmd == ":load" and len(rest) == 1:
             loaded = qa.load_kb(rest[0],
-                                existential_import=session.existential_import,
-                                seed=session.seed)
+                                existential_import=session.existential_import)
             session.kb = loaded.kb
             session.lexicon = loaded.lexicon
             session.rules = loaded.rules
@@ -123,11 +121,9 @@ def _command(session: qa.Session, line: str, stdout) -> int | None:
             revision = qa.save_kb(session, rest[0])
             print(f"ok #{revision}", file=stdout)
         elif cmd == ":closure":
-            from .syllogistics import closure as run_closure
-            added = run_closure(session.kb, session.existential_import)
+            added = closure(session.kb, session.existential_import)
             print(f"ok #{session.kb.revision} (+{added})", file=stdout)
         elif cmd == ":abduce" and rest:
-            from .abduction import abduce_membership
             ent = session.kb.entity(" ".join(rest))
             if ent is None:
                 print("error: unknown entity", file=stdout)
@@ -177,7 +173,6 @@ def main(argv: list[str] | None = None) -> int:
 def _common_flags(p) -> None:
     p.add_argument("--existential-import", choices=("on", "off"),
                    default="off")
-    p.add_argument("--seed", type=int, default=0)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .logic3 import FALSE, TRUE, UNKNOWN, Value3, and3, or3
+from .logic3 import FALSE, TRUE, UNKNOWN, Value3, and3, any3
 
 
 class KbError(Exception):
@@ -45,14 +45,6 @@ class Kind(enum.Enum):
 
 
 _RANK = {Kind.ASSERTED: 2, Kind.DEDUCED: 1, Kind.ABDUCED: 0}
-
-
-class RepresentationKind(enum.Enum):
-    """What a stored item represents: a ground fact, a rule, a rule set."""
-
-    DATUM = "datum"
-    MEANING = "meaning"
-    KNOWLEDGE = "knowledge"
 
 
 @dataclass(frozen=True)
@@ -350,12 +342,7 @@ class KnowledgeBase:
                     tail = walk(m.set_, vis)
                     if tail is not None:
                         contribs.append(and3(m.value, tail))
-            if not contribs:
-                return None
-            out = contribs[0]
-            for v in contribs[1:]:
-                out = or3(out, v)
-            return out
+            return any3(contribs) if contribs else None
 
         result = walk(element.id, frozenset())
         return UNKNOWN if result is None else result
@@ -364,12 +351,7 @@ class KnowledgeBase:
         """Disjunction over all relation edges observer -> obj; UNKNOWN if none."""
         values = [e.value for e in self._t.edges.values()
                   if e.from_ == observer.id and e.to == obj.id]
-        if not values:
-            return UNKNOWN
-        out = values[0]
-        for v in values[1:]:
-            out = or3(out, v)
-        return out
+        return any3(values) if values else UNKNOWN
 
     def meta_sets(self) -> list[Entity]:
         """Sets of sets: entities with a non-FALSE member that itself has members."""
@@ -383,13 +365,3 @@ class KnowledgeBase:
                     out.append(ent)
                     break
         return out
-
-    def representation_kind(self, item_id: str) -> RepresentationKind:
-        """Ground assertions and edges are datums; everything derived flows
-        from rules (meanings) and rule collections (knowledge)."""
-        for item in self.items():
-            if item.id == item_id:
-                if item.provenance.kind is Kind.ASSERTED:
-                    return RepresentationKind.DATUM
-                return RepresentationKind.MEANING
-        raise KbError(f"no item {item_id}")

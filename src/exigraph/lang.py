@@ -31,6 +31,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .kb import canonical_label
+
 ARTICLES = {"a", "an", "the"}
 PREPOSITIONS = ("to", "at", "in", "on", "with")
 KEYWORDS = {"is", "are", "all", "no", "some", "not", "did", "have",
@@ -84,8 +86,8 @@ class Lexicon:
         return cls(defaults=PLURAL_DEFAULTS)
 
     def add(self, surface: str, canonical: str) -> None:
-        surface = _squeeze(surface)
-        canonical = _squeeze(canonical)
+        surface = canonical_label(surface)
+        canonical = canonical_label(canonical)
         if surface == canonical:
             raise ValueError(f"lexicon entry maps {surface!r} to itself")
         seen, cur = {surface}, canonical
@@ -103,13 +105,13 @@ class Lexicon:
         return sorted(self._user.items())
 
     def covers(self, phrase: str) -> bool:
-        phrase = _squeeze(phrase)
+        phrase = canonical_label(phrase)
         return phrase in self._map or phrase in self._map.values()
 
     def canon(self, phrase: str) -> str:
         """Apply the mapping to a fixpoint: whole phrase first, then word
         by word.  Idempotent by construction (the mapping is acyclic)."""
-        phrase = _squeeze(phrase)
+        phrase = canonical_label(phrase)
         for _ in range(32):
             if phrase in self._map:
                 phrase = self._map[phrase]
@@ -123,13 +125,6 @@ class Lexicon:
 
 
 EMPTY_LEXICON = Lexicon()
-
-_WS = re.compile(r"\s+")
-
-
-def _squeeze(text: str) -> str:
-    return _WS.sub(" ", text.strip().lower())
-
 
 def _check_term(term: str, slot: str) -> str:
     if not term:
@@ -369,7 +364,8 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
         if not m:
             raise ParseError("malformed lexicon entry", 0,
                              ("lexicon: <surface> = <canonical>.",))
-        return LexiconStmt(_squeeze(m.group("sf")), _squeeze(m.group("cn")))
+        return LexiconStmt(canonical_label(m.group("sf")),
+                           canonical_label(m.group("cn")))
 
     if lowered.startswith("rule:"):
         m = _RULE_RE.match(body.strip())

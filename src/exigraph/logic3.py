@@ -30,10 +30,6 @@ class Value3(enum.Enum):
         return self is not Value3.UNKNOWN
 
     @classmethod
-    def from_bool(cls, flag: bool) -> "Value3":
-        return cls.TRUE if flag else cls.FALSE
-
-    @classmethod
     def parse(cls, word: str) -> "Value3":
         """Inverse of ``str``: accepts ``yes`` / ``no`` / ``unknown``."""
         for v in cls:

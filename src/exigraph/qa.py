@@ -18,6 +18,7 @@ is what lets set-level evidence answer questions about broader sets.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -66,9 +67,7 @@ class Session:
     rules: list[DefeasibleRule] = field(default_factory=list)
     triggers: list[Trigger] = field(default_factory=list)
     existential_import: bool = False
-    seed: int = 0
     show_trace: bool = False
-    history: list[str] = field(default_factory=list)
 
     # -- asserting --------------------------------------------------------
 
@@ -78,7 +77,6 @@ class Session:
         return self.apply_statement(ast)
 
     def apply_statement(self, ast: lang.StatementAst) -> tuple[int, list]:
-        self.history.append(lang.render(ast))
         aims: list = []
         if isinstance(ast, lang.LexiconStmt):
             try:
@@ -133,9 +131,7 @@ class Session:
     # -- asking -----------------------------------------------------------
 
     def ask_line(self, line: str) -> Answer:
-        q = lang.parse_question(line, self.lexicon)
-        self.history.append(lang.render(q))
-        return answer(q, self)
+        return answer(lang.parse_question(line, self.lexicon), self)
 
 
 def answer(q: lang.QuestionAst, session: Session) -> Answer:
@@ -146,10 +142,6 @@ def answer(q: lang.QuestionAst, session: Session) -> Answer:
     if isinstance(q, lang.DidSpoQ):
         return _answer_spo(q, session)
     raise TypeError(f"not a question AST: {q!r}")
-
-
-def _prov_word(kind: Kind) -> str:
-    return kind.value
 
 
 def _proven(verdict: Value3, trace: list[TraceStep]) -> Answer:
@@ -168,7 +160,7 @@ def _membership_lookup(session: Session, x: Entity, s: Entity
     item = kb.membership(x, s)
     if item is not None and item.value.is_definite():
         step = TraceStep("membership", f"{x.label} in {s.label} "
-                         f"= {item.value}", _prov_word(item.provenance.kind))
+                         f"= {item.value}", item.provenance.kind.value)
         if item.provenance.kind is Kind.ABDUCED:
             return None
         return _proven(item.value, [step])
@@ -190,10 +182,10 @@ def _membership_lookup(session: Session, x: Entity, s: Entity
                 word = "all" if form == "A" else "no"
                 return _proven(verdict, [
                     TraceStep("membership", f"{x.label} in {t.label} = yes",
-                              _prov_word(mem.provenance.kind)),
+                              mem.provenance.kind.value),
                     TraceStep("proposition",
                               f"{word} {t.label} are {s.label}",
-                              _prov_word(prov)),
+                              prov.value),
                 ])
     return None
 
@@ -243,7 +235,7 @@ def _categorical_lookup(session: Session, form: str, s: Entity, p: Entity
     word = {"A": "all", "E": "no", "I": "some", "O": "some-not"}[form]
     return _proven(verdict, [TraceStep(
         "proposition", f"{word} {s.label} are {p.label} = {verdict}",
-        _prov_word(prov))])
+        prov.value)])
 
 
 def _answer_categorical(q: Union[lang.AreAllQ, lang.AreAnyQ],
@@ -286,7 +278,7 @@ def _edge_lookup(session: Session, s: Entity, verb: str, o: Entity
             and edge.provenance.kind is not Kind.ABDUCED:
         return _proven(edge.value, [TraceStep(
             "edge", f"{s.label} {verb} {o.label} = {edge.value}",
-            _prov_word(edge.provenance.kind))])
+            edge.provenance.kind.value)])
     # a known member of s did it: the distributive reading is proven
     for edge in kb.edges():
         if edge.name != verb or edge.to != o.id or edge.value is not TRUE:
@@ -299,9 +291,9 @@ def _edge_lookup(session: Session, s: Entity, verb: str, o: Entity
                 and mem.provenance.kind is not Kind.ABDUCED:
             return _proven(TRUE, [
                 TraceStep("edge", f"{actor.label} {verb} {o.label} = yes",
-                          _prov_word(edge.provenance.kind)),
+                          edge.provenance.kind.value),
                 TraceStep("membership", f"{actor.label} in {s.label} = yes",
-                          _prov_word(mem.provenance.kind)),
+                          mem.provenance.kind.value),
             ])
     return None
 
@@ -319,7 +311,6 @@ def _answer_spo(q: lang.DidSpoQ, session: Session) -> Answer:
     if found:
         return found
     apply_rules(session.rules, kb)
-    abduce_membership(s, kb)
     # look for a (possibly abduced) actor linked to the asked subject
     for edge in kb.edges():
         if edge.name != q.verb or edge.to != o.id or edge.value is FALSE:
@@ -335,7 +326,7 @@ def _answer_spo(q: lang.DidSpoQ, session: Session) -> Answer:
         trace = [TraceStep("edge",
                            f"{actor.label} {q.verb} {o.label}"
                            + (" (conjectured)" if abduced_here else " = yes"),
-                           _prov_word(edge.provenance.kind)),
+                           edge.provenance.kind.value),
                  link,
                  TraceStep("hypothesis",
                            f"some {s.label} {q.verb} {o.label}",
@@ -353,7 +344,7 @@ def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity
     mem = kb.membership(actor, s)
     if mem is not None and mem.value is not FALSE:
         return TraceStep("membership", f"{actor.label} in {s.label}",
-                         _prov_word(mem.provenance.kind))
+                         mem.provenance.kind.value)
     try:
         prop = CategoricalProposition("A", actor, s)
     except ValueError:
@@ -362,7 +353,7 @@ def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity
         stored = kb.proposition("A", actor, s)
         prov = stored.provenance.kind if stored else Kind.DEDUCED
         return TraceStep("proposition", f"all {actor.label} are {s.label}",
-                         _prov_word(prov))
+                         prov.value)
     return None
 
 
@@ -376,6 +367,9 @@ class LoadError(Exception):
 
 def save_kb(session: Session, path: str) -> int:
     """Serialize the asserted content as controlled-language lines.
+
+    A temp file beside ``path`` is written, then renamed over it, so a
+    save that fails part-way leaves the previous file as it was.
 
     Order is deterministic: lexicon, rules, triggers, memberships,
     categorical propositions, SPO edges, each group alphabetical.  Only
@@ -412,19 +406,24 @@ def save_kb(session: Session, path: str) -> int:
                 kb.label(e.from_), e.name, kb.label(e.to))))
     lines.extend(sorted(group))
 
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return session.kb.revision
 
 
-def load_kb(path: str, existential_import: bool = False,
-            seed: int = 0) -> Session:
+def load_kb(path: str, existential_import: bool = False) -> Session:
     """Parse a KB file into a fresh session; atomic (a bad line leaves
     nothing loaded) and errors name the offending line."""
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
-    session = Session(existential_import=existential_import, seed=seed)
+    session = Session(existential_import=existential_import)
     staged: list[tuple[int, lang.StatementAst]] = []
     for line_no, line in enumerate(raw, start=1):
         if not lang._strip_comment(line).strip():

@@ -23,6 +23,9 @@ from .logic3 import FALSE, TRUE, UNKNOWN, Value3
 
 FORMS = ("A", "E", "I", "O")
 
+# each form's contradictory: exactly one of the pair holds in any model
+CONTRADICTORY = {"A": "O", "O": "A", "E": "I", "I": "E"}
+
 # term layout of the two premises per figure: (major pair, minor pair)
 FIGURES = {
     1: (("M", "P"), ("S", "M")),
@@ -173,8 +176,7 @@ def eval_proposition(kb: KnowledgeBase, p: CategoricalProposition) -> Value3:
     stored = kb.proposition(p.form, subj, pred)
     if stored is not None and stored.value.is_definite():
         return stored.value
-    contrary = {"A": "O", "O": "A", "E": "I", "I": "E"}[p.form]
-    stored_contrary = kb.proposition(contrary, subj, pred)
+    stored_contrary = kb.proposition(CONTRADICTORY[p.form], subj, pred)
     if stored_contrary is not None and stored_contrary.value is TRUE:
         return FALSE
     return UNKNOWN
@@ -182,20 +184,11 @@ def eval_proposition(kb: KnowledgeBase, p: CategoricalProposition) -> Value3:
 
 def _fact_counterexample(kb: KnowledgeBase, p: CategoricalProposition) -> Optional[Value3]:
     """Definite verdict derivable from membership facts alone, if any."""
-    subj, pred = p.subject, p.predicate
-    pairs = [(kb.exists(e, subj), kb.exists(e, pred)) for e in kb.entities()]
-    if p.form == "A":
-        if any(a is TRUE and b is FALSE for a, b in pairs):
-            return FALSE
-    elif p.form == "E":
-        if any(a is TRUE and b is TRUE for a, b in pairs):
-            return FALSE
-    elif p.form == "I":
-        if any(a is TRUE and b is TRUE for a, b in pairs):
-            return TRUE
-    elif p.form == "O":
-        if any(a is TRUE and b is FALSE for a, b in pairs):
-            return TRUE
+    # A and O look for a known member outside the predicate, E and I inside
+    witness = FALSE if p.form in ("A", "O") else TRUE
+    if any(kb.exists(e, p.predicate) is witness
+           for e in kb.members_true(p.subject)):
+        return FALSE if p.form in ("A", "E") else TRUE
     return None
 
 
@@ -233,7 +226,6 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
     """Diagnostics for stored propositions defeated by membership facts or
     by a stored contrary; reported, never auto-resolved."""
     out = []
-    contrary = {"A": "O", "O": "A", "E": "I", "I": "E"}
     for s in kb.propositions():
         if s.value is not TRUE:
             continue
@@ -242,8 +234,8 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
         if p.form in ("A", "E") and facts is FALSE:
             out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
                        f"stored true but defeated by a membership counterexample")
-        other = kb.proposition(contrary[s.form], p.subject, p.predicate)
+        other = kb.proposition(CONTRADICTORY[s.form], p.subject, p.predicate)
         if other is not None and other.value is TRUE and s.form in ("A", "E"):
             out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
-                       f"and its contrary {contrary[s.form]} are both stored true")
+                       f"and its contrary {CONTRADICTORY[s.form]} are both stored true")
     return out

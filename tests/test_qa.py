@@ -1,8 +1,13 @@
 import io
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exigraph import cli, qa
+from exigraph.agency import AimClass
 from exigraph.logic3 import TRUE, UNKNOWN
 from exigraph.qa import Answer, LoadError, Session, load_kb, save_kb
 
@@ -126,6 +131,48 @@ def test_bad_line_is_named_and_nothing_loads(tmp_path):
     assert ":3:" in str(err.value)
 
 
+def test_failed_save_leaves_previous_file(moon_path, tmp_path, monkeypatch):
+    (tmp_path / "d").mkdir()
+    path = str(tmp_path / "d" / "kept.kb")
+    save_kb(load_kb(moon_path), path)
+    before = open(path, "rb").read()
+
+    real_open = open
+
+    class Failing:
+        """A file that takes one line and then fails, as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh, self.written = fh, False
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if self.written:
+                raise OSError("disk full")
+            self.written = True
+            return self.fh.write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    def failing_open(*args, **kwargs):
+        return Failing(real_open(*args, **kwargs))
+
+    monkeypatch.setattr(qa, "open", failing_open, raising=False)
+    session = socrates_session()
+    with pytest.raises(OSError, match="disk full"):
+        save_kb(session, path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path / "d") == ["kept.kb"]
+
+
 def test_derived_content_not_serialized(moon_path, tmp_path):
     session = load_kb(moon_path)
     session.ask_line(MOON_Q)  # closure + abduction populate the KB
@@ -155,11 +202,12 @@ def test_repl_assert_then_ask():
 
 
 def test_repl_survives_parse_errors():
-    code, out = run_repl("ha.\nSocrates is a man.\n")
+    code, out = run_repl("ha.\nAll men are men.\nSocrates is a man.\n")
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("error:")
-    assert lines[1] == "ok #1"
+    assert lines[1].startswith("error:")  # rejected by the KB, not the parser
+    assert lines[2] == "ok #1"
 
 
 def test_repl_unsupported_question_rejected_not_answered():
@@ -206,6 +254,56 @@ def test_repl_trigger_fires_aim():
               "User asked question.\n")
     _, out = run_repl(script)
     assert "aim: answer question" in out
+
+
+_NOUNS = ("man", "men", "mortal", "bird", "fish", "astronauts", "people",
+          "moon", "socrates", "universe")
+_VERBS = ("flew to", "was at", "asked", "saw")
+
+
+def _repl_line():
+    noun = st.sampled_from(_NOUNS)
+    verb = st.sampled_from(_VERBS)
+    word = st.sampled_from(("yes", "no", "unknown", "maybe", "on", "off"))
+    statements = st.one_of(
+        st.builds("{} is a {}.".format, noun, noun),
+        st.builds("All {} are {}.".format, noun, noun),
+        st.builds("No {} are {}.".format, noun, noun),
+        st.builds("Some {} are {}.".format, noun, noun),
+        st.builds("Some {} are not {}.".format, noun, noun),
+        st.builds("{} {} the {}.".format, noun, verb, noun),
+        st.builds("lexicon: {} = {}.".format, noun, noun),
+        st.builds("rule: X {} Y => X {} Y.".format, verb, verb),
+        st.builds('trigger: when * {} * then "see {{object}}".'.format, verb))
+    questions = st.one_of(
+        st.builds("Is {} a {}?".format, noun, noun),
+        st.builds("Are all {} {}?".format, noun, noun),
+        st.builds("Are any {} {}?".format, noun, noun),
+        st.builds("Did {} {} the {}?".format, noun, verb, noun),
+        st.builds("Have {} been to the {}?".format, noun, noun))
+    commands = st.one_of(
+        st.sampled_from((":closure", ":trace on", ":trace off", ":bogus",
+                         ":load", ":save {dir}/s.kb", ":load {dir}/s.kb",
+                         ":load {dir}/none.kb")),
+        st.builds(":abduce {}".format, noun),
+        st.builds(":classify {} {}".format, word, word))
+    return st.one_of(statements, questions, commands, st.text(max_size=30))
+
+
+_REPL_OUTPUT = re.compile(
+    r"(ok #|aim: |error: |may be: |(yes|no|unknown)( \((proven|plausible)\))?$"
+    r"|ok$|  \d+\. |  suggested: |(%s)$)" % "|".join(c.value for c in AimClass))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_repl_line(), max_size=12))
+def test_repl_fuzz_never_raises(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        script = "".join(line.replace("{dir}", tmp) + "\n" for line in lines)
+        code, out = run_repl(script)
+    assert code == 0
+    for line in out.split("\n")[:-1]:
+        assert _REPL_OUTPUT.match(line), line
 
 
 # -- the cli ---------------------------------------------------------------

@@ -1,0 +1,45 @@
+"""Smoke test: every demo script runs to exit 0 with small arguments."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+SCRIPTS = {
+    "existence_survey.py": ["--trials", "5"],
+    "mood_census.py": ["--countermodels"],
+    "moon_demo.py": [],
+}
+
+
+def run_script(name: str, args: list[str]) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_every_script_is_covered():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) \
+        == sorted(SCRIPTS)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_exits_zero(name):
+    proc = run_script(name, SCRIPTS[name])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+def test_moon_demo_matches_readme():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = readme.index("$ python scripts/moon_demo.py") + 1
+    block = readme[start:readme.index("```", start)]
+    out = run_script("moon_demo.py", []).stdout.splitlines()
+    assert len(block) == 6
+    assert out[-6:] == block
