@@ -315,7 +315,7 @@ class KnowledgeBase:
                if m.set_ == set_.id and m.value is TRUE]
         return sorted(out, key=lambda e: e.label)
 
-    def existence_degree(self, element: Entity, root: Optional[Entity] = None) -> Value3:
+    def existence_degree(self, element: Entity) -> Value3:
         """Existence of ``element`` relative to an axiomatically existing root.
 
         Disjunction (or3) over all membership chains element -> ... -> root
@@ -323,7 +323,7 @@ class KnowledgeBase:
         A chain that revisits an entity ends in an UNKNOWN tail (paradox
         tolerance); a chain that dead-ends contributes nothing.
         """
-        root = root or self.root
+        root = self.root
         outgoing: dict[int, list[Membership]] = {}
         for m in self._t.memberships.values():
             outgoing.setdefault(m.element, []).append(m)

@@ -8,6 +8,8 @@ marks the answer Plausible, with the suggested answer and the full
 evidence trail in the trace.  A definite verdict is therefore never backed
 by an abduced step: the engine does not decide where it could decide
 wrongly, and a human reading the trace upgrades plausibility to belief.
+:func:`answer` is the one place where this stage order lives; each
+question kind supplies only its lookup and its conjecture.
 
 Singular statements live in the KB as memberships; they are promoted to
 propositions over singleton sets only here, when a syllogistic step needs
@@ -25,7 +27,8 @@ from typing import Optional, Union
 from . import lang
 from .abduction import DefeasibleRule, abduce_membership, apply_rules
 from .agency import Observation, Trigger, fire_triggers
-from .kb import ASSERTED, Entity, Kind, KnowledgeBase, Provenance
+from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
+                 canonical_label)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
 from .syllogistics import (CategoricalProposition, closure, eval_proposition)
 
@@ -99,6 +102,9 @@ class Session:
             aims = fire_triggers(Observation.membership(elem.label, set_.label),
                                  self.triggers)
         elif isinstance(ast, lang.CategoricalStmt):
+            # checked before any upsert, so a rejected line adds no entity
+            if canonical_label(ast.subject) == canonical_label(ast.predicate):
+                raise KbError("trivial self-proposition rejected")
             subj = self.kb.upsert_entity(ast.subject)
             pred = self.kb.upsert_entity(ast.predicate)
             item = self.kb.assert_proposition(ast.form, subj, pred, TRUE, ASSERTED)
@@ -135,13 +141,39 @@ class Session:
 
 
 def answer(q: lang.QuestionAst, session: Session) -> Answer:
+    """Answer one question: lookup, closure, lookup, rules, conjecture.
+
+    An unknown entity answers UNKNOWN at once.  Closure runs even for
+    did/have questions, which it cannot settle, because what it deduces
+    stays in the KB and moves the revision.
+    """
+    kb = session.kb
     if isinstance(q, lang.IsAQ):
-        return _answer_is_a(q, session)
-    if isinstance(q, (lang.AreAllQ, lang.AreAnyQ)):
-        return _answer_categorical(q, session)
-    if isinstance(q, lang.DidSpoQ):
-        return _answer_spo(q, session)
-    raise TypeError(f"not a question AST: {q!r}")
+        labels = q.proper, q.set_
+        lookup, conjecture = _membership_lookup, _membership_conjecture
+    elif isinstance(q, (lang.AreAllQ, lang.AreAnyQ)):
+        # no categorical proposition relates a term to itself
+        if canonical_label(q.subject) == canonical_label(q.predicate):
+            return Answer(UNKNOWN, None)
+        labels = q.subject, q.predicate
+        lookup, conjecture = _categorical_lookup, _categorical_conjecture
+    elif isinstance(q, lang.DidSpoQ):
+        labels = q.subject, q.obj
+        lookup, conjecture = _edge_lookup, _edge_conjecture
+    else:
+        raise TypeError(f"not a question AST: {q!r}")
+    a, b = kb.entity(labels[0]), kb.entity(labels[1])
+    if a is None or b is None:
+        return Answer(UNKNOWN, None)
+    found = lookup(kb, q, a, b)
+    if found:
+        return found
+    closure(kb, session.existential_import)
+    found = lookup(kb, q, a, b)
+    if found:
+        return found
+    apply_rules(session.rules, kb)
+    return conjecture(kb, q, a, b) or Answer(UNKNOWN, None)
 
 
 def _proven(verdict: Value3, trace: list[TraceStep]) -> Answer:
@@ -152,11 +184,18 @@ def _plausible(trace: list[TraceStep], suggestion: Value3) -> Answer:
     return Answer(UNKNOWN, PLAUSIBLE, trace, suggestion)
 
 
+def _proposition_kind(kb: KnowledgeBase, form: str, s: Entity, p: Entity
+                      ) -> Kind:
+    """Provenance kind of the stored proposition; DEDUCED when none is
+    stored and the evaluation alone supports it."""
+    stored = kb.proposition(form, s, p)
+    return stored.provenance.kind if stored else Kind.DEDUCED
+
+
 # -- is-a questions -------------------------------------------------------
 
-def _membership_lookup(session: Session, x: Entity, s: Entity
+def _membership_lookup(kb: KnowledgeBase, q: lang.IsAQ, x: Entity, s: Entity
                        ) -> Optional[Answer]:
-    kb = session.kb
     item = kb.membership(x, s)
     if item is not None and item.value.is_definite():
         step = TraceStep("membership", f"{x.label} in {s.label} "
@@ -170,13 +209,8 @@ def _membership_lookup(session: Session, x: Entity, s: Entity
             continue
         mem = kb.membership(x, t)
         for form, verdict in (("A", TRUE), ("E", FALSE)):
-            try:
-                prop = CategoricalProposition(form, t, s)
-            except ValueError:
-                continue
-            if eval_proposition(kb, prop) is TRUE:
-                stored = kb.proposition(form, t, s)
-                prov = stored.provenance.kind if stored else Kind.DEDUCED
+            if eval_proposition(kb, CategoricalProposition(form, t, s)) is TRUE:
+                prov = _proposition_kind(kb, form, t, s)
                 if prov is Kind.ABDUCED:
                     continue
                 word = "all" if form == "A" else "no"
@@ -190,89 +224,60 @@ def _membership_lookup(session: Session, x: Entity, s: Entity
     return None
 
 
-def _answer_is_a(q: lang.IsAQ, session: Session) -> Answer:
-    kb = session.kb
-    x, s = kb.entity(q.proper), kb.entity(q.set_)
-    if x is not None and s is not None:
-        found = _membership_lookup(session, x, s)
-        if found:
-            return found
-        closure(kb, session.existential_import)
-        found = _membership_lookup(session, x, s)
-        if found:
-            return found
-        apply_rules(session.rules, kb)
-        for hyp in abduce_membership(x, kb):
-            if hyp.proposition.set_.id == s.id:
-                return _plausible([
-                    TraceStep("hypothesis",
-                              f"{x.label} may be in {s.label} "
-                              f"(shared properties: {hyp.score[0]}, "
-                              f"members: {hyp.score[1]})", "hypothesis"),
-                    TraceStep("evidence", ", ".join(hyp.evidence), "abduced"),
-                ], TRUE)
-        item = kb.membership(x, s)
-        if item is not None and item.provenance.kind is Kind.ABDUCED:
-            return _plausible([TraceStep(
-                "membership", f"{x.label} in {s.label} conjectured",
-                "abduced")], TRUE)
-    return Answer(UNKNOWN, None)
+def _membership_conjecture(kb: KnowledgeBase, q: lang.IsAQ, x: Entity,
+                           s: Entity) -> Optional[Answer]:
+    for hyp in abduce_membership(x, kb):
+        if hyp.proposition.set_.id == s.id:
+            return _plausible([
+                TraceStep("hypothesis",
+                          f"{x.label} may be in {s.label} "
+                          f"(shared properties: {hyp.score[0]}, "
+                          f"members: {hyp.score[1]})", "hypothesis"),
+                TraceStep("evidence", ", ".join(hyp.evidence), "abduced"),
+            ], TRUE)
+    item = kb.membership(x, s)
+    if item is not None and item.provenance.kind is Kind.ABDUCED:
+        return _plausible([TraceStep(
+            "membership", f"{x.label} in {s.label} conjectured",
+            "abduced")], TRUE)
+    return None
 
 
 # -- categorical questions ------------------------------------------------
 
-def _categorical_lookup(session: Session, form: str, s: Entity, p: Entity
-                        ) -> Optional[Answer]:
-    kb = session.kb
-    prop = CategoricalProposition(form, s, p)
-    verdict = eval_proposition(kb, prop)
+def _categorical_lookup(kb: KnowledgeBase,
+                        q: Union[lang.AreAllQ, lang.AreAnyQ],
+                        s: Entity, p: Entity) -> Optional[Answer]:
+    form = "A" if isinstance(q, lang.AreAllQ) else "I"
+    verdict = eval_proposition(kb, CategoricalProposition(form, s, p))
     if not verdict.is_definite():
         return None
-    stored = kb.proposition(form, s, p)
-    if stored is not None and stored.provenance.kind is Kind.ABDUCED:
+    prov = _proposition_kind(kb, form, s, p)
+    if prov is Kind.ABDUCED:
         return None
-    prov = stored.provenance.kind if stored else Kind.DEDUCED
     word = {"A": "all", "E": "no", "I": "some", "O": "some-not"}[form]
     return _proven(verdict, [TraceStep(
         "proposition", f"{word} {s.label} are {p.label} = {verdict}",
         prov.value)])
 
 
-def _answer_categorical(q: Union[lang.AreAllQ, lang.AreAnyQ],
-                        session: Session) -> Answer:
-    kb = session.kb
-    form = "A" if isinstance(q, lang.AreAllQ) else "I"
-    s, p = kb.entity(q.subject), kb.entity(q.predicate)
-    if s is None or p is None or s.id == p.id:
-        return Answer(UNKNOWN, None)
-    found = _categorical_lookup(session, form, s, p)
-    if found:
-        return found
-    closure(kb, session.existential_import)
-    found = _categorical_lookup(session, form, s, p)
-    if found:
-        return found
-    apply_rules(session.rules, kb)
-    trace: list[TraceStep] = []
+def _categorical_conjecture(kb: KnowledgeBase,
+                            q: Union[lang.AreAllQ, lang.AreAnyQ],
+                            s: Entity, p: Entity) -> Optional[Answer]:
     for member in kb.members_true(s):
         for hyp in abduce_membership(member, kb):
             if hyp.proposition.set_.id == p.id:
-                trace.append(TraceStep(
+                return _plausible([TraceStep(
                     "hypothesis", f"{member.label} may be in {p.label}",
-                    "hypothesis"))
-                break
-        if trace:
-            break
-    if trace:
-        return _plausible(trace, TRUE)
-    return Answer(UNKNOWN, None)
+                    "hypothesis")], TRUE)
+    return None
 
 
 # -- spo questions --------------------------------------------------------
 
-def _edge_lookup(session: Session, s: Entity, verb: str, o: Entity
+def _edge_lookup(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity, o: Entity
                  ) -> Optional[Answer]:
-    kb = session.kb
+    verb = q.verb
     edge = kb.edge(verb, s, o)
     if edge is not None and edge.value.is_definite() \
             and edge.provenance.kind is not Kind.ABDUCED:
@@ -298,20 +303,9 @@ def _edge_lookup(session: Session, s: Entity, verb: str, o: Entity
     return None
 
 
-def _answer_spo(q: lang.DidSpoQ, session: Session) -> Answer:
-    kb = session.kb
-    s, o = kb.entity(q.subject), kb.entity(q.obj)
-    if s is None or o is None:
-        return Answer(UNKNOWN, None)
-    found = _edge_lookup(session, s, q.verb, o)
-    if found:
-        return found
-    closure(kb, session.existential_import)
-    found = _edge_lookup(session, s, q.verb, o)
-    if found:
-        return found
-    apply_rules(session.rules, kb)
-    # look for a (possibly abduced) actor linked to the asked subject
+def _edge_conjecture(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity,
+                     o: Entity) -> Optional[Answer]:
+    """Look for a (possibly abduced) actor linked to the asked subject."""
     for edge in kb.edges():
         if edge.name != q.verb or edge.to != o.id or edge.value is FALSE:
             continue
@@ -332,7 +326,7 @@ def _answer_spo(q: lang.DidSpoQ, session: Session) -> Answer:
                            f"some {s.label} {q.verb} {o.label}",
                            "hypothesis")]
         return _plausible(trace, TRUE)
-    return Answer(UNKNOWN, None)
+    return None
 
 
 def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity
@@ -345,15 +339,9 @@ def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity
     if mem is not None and mem.value is not FALSE:
         return TraceStep("membership", f"{actor.label} in {s.label}",
                          mem.provenance.kind.value)
-    try:
-        prop = CategoricalProposition("A", actor, s)
-    except ValueError:
-        return None
-    if eval_proposition(kb, prop) is TRUE:
-        stored = kb.proposition("A", actor, s)
-        prov = stored.provenance.kind if stored else Kind.DEDUCED
+    if eval_proposition(kb, CategoricalProposition("A", actor, s)) is TRUE:
         return TraceStep("proposition", f"all {actor.label} are {s.label}",
-                         prov.value)
+                         _proposition_kind(kb, "A", actor, s).value)
     return None
 
 
@@ -421,8 +409,12 @@ def save_kb(session: Session, path: str) -> int:
 def load_kb(path: str, existential_import: bool = False) -> Session:
     """Parse a KB file into a fresh session; atomic (a bad line leaves
     nothing loaded) and errors name the offending line."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise LoadError(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
     session = Session(existential_import=existential_import)
     staged: list[tuple[int, lang.StatementAst]] = []
     for line_no, line in enumerate(raw, start=1):

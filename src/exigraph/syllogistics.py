@@ -34,6 +34,10 @@ FIGURES = {
     4: (("P", "M"), ("M", "S")),
 }
 
+# universes up to this size already separate the valid moods; the tests
+# check the table against an independent enumeration up to four elements
+_MAX_UNIVERSE = 3
+
 
 @dataclass(frozen=True)
 class CategoricalProposition:
@@ -83,13 +87,12 @@ def _premise_sets(figure: int, s, m, p):
 
 
 def _countermodel(figure: int, forms: tuple[str, str, str], *,
-                  nonempty: frozenset[str] = frozenset(),
-                  max_universe: int = 3) -> Optional[tuple]:
+                  nonempty: frozenset[str] = frozenset()) -> Optional[tuple]:
     """Search assignments of S, M, P to subsets of universes of size
-    0..max_universe for one where the premises hold and the conclusion
+    0.._MAX_UNIVERSE for one where the premises hold and the conclusion
     fails; ``nonempty`` names terms constrained to be nonempty."""
     maj_form, min_form, concl_form = forms
-    for n in range(max_universe + 1):
+    for n in range(_MAX_UNIVERSE + 1):
         universe = frozenset(range(n))
         subsets = [frozenset(c) for k in range(n + 1)
                    for c in itertools.combinations(sorted(universe), k)]

@@ -1,6 +1,8 @@
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from exigraph import cli, qa
 from exigraph.agency import AimClass
+from exigraph.kb import KbError
 from exigraph.logic3 import TRUE, UNKNOWN
 from exigraph.qa import Answer, LoadError, Session, load_kb, save_kb
 
@@ -95,6 +98,103 @@ def test_distributive_actor_reading():
     s.assert_line("Gagarin flew to space.")
     ans = s.ask_line("Did astronauts fly to space?")
     assert ans.render() == "yes (proven)"
+
+
+HYP_GREEK = "  1. [hypothesis] hypothesis: socrates may be in greek"
+ABDUCED_MOON = "  1. [abduced] edge: armstrong was at moon (conjectured)"
+
+# (input line, output lines); each question is labelled with the stage
+# that settles it: lookup, closure, conjecture (after rules) or unknown
+STAGE_MATRIX = [
+    (":trace on", ["ok"]),
+    ("lexicon: fly to = flew to.", ["ok #0"]),
+    ("lexicon: been to = was at.", ["ok #0"]),
+    ("lexicon: see = saw.", ["ok #0"]),
+    ("lexicon: astronauts = astronaut.", ["ok #0"]),
+    ("rule: X flew to Y => X was at Y.", ["ok #0"]),
+    ("Socrates is a man.", ["ok #1"]),
+    ("Socrates saw the sea.", ["ok #2"]),
+    ("All men are mortal.", ["ok #3"]),
+    ("All mortal are animal.", ["ok #4"]),
+    # did, unknown: closure cannot settle it, but its deduction counts
+    ("Did the sea see Socrates?", ["unknown"]),
+    ("Plato is a man.", ["ok #6"]),
+    ("Plato is a greek.", ["ok #7"]),
+    ("Plato saw the sea.", ["ok #8"]),
+    ("Armstrong is an astronaut.", ["ok #9"]),
+    ("Armstrong flew to the Moon.", ["ok #10"]),
+    ("No fish are animal.", ["ok #11"]),
+    # is-a: lookup, lookup through a stored proposition, closure,
+    # conjecture, unknown, unknown entity
+    ("Is Socrates a man?", [
+        "yes (proven)",
+        "  1. [asserted] membership: socrates in man = yes"]),
+    ("Is Socrates a mortal?", [
+        "yes (proven)",
+        "  1. [asserted] membership: socrates in man = yes",
+        "  2. [asserted] proposition: all man are mortal"]),
+    ("Is Socrates a fish?", [
+        "no (proven)",
+        "  1. [asserted] membership: socrates in man = yes",
+        "  2. [deduced] proposition: no man are fish"]),
+    ("Is Socrates a greek?", [
+        "unknown (plausible)",
+        HYP_GREEK + " (shared properties: 2, members: 1)",
+        "  2. [abduced] evidence: #1, #6, #2, #8",
+        "  suggested: yes"]),
+    ("Is Socrates a sea?", ["unknown"]),
+    ("Is Zeus a man?", ["unknown"]),
+    ("All animal are living.", ["ok #17"]),
+    # are-all / are-any: lookup, closure, lookup of a deduced contrary,
+    # conjecture, unknown, one entity twice, unknown entity
+    ("Are all men mortal?", [
+        "yes (proven)",
+        "  1. [asserted] proposition: all man are mortal = yes"]),
+    ("Are all men living?", [
+        "yes (proven)",
+        "  1. [deduced] proposition: all man are living = yes"]),
+    ("Are any men fish?", [
+        "no (proven)",
+        "  1. [deduced] proposition: some man are fish = no"]),
+    ("Are all men greek?", [
+        "unknown (plausible)",
+        HYP_GREEK,
+        "  suggested: yes"]),
+    ("Are any men sea?", ["unknown"]),
+    ("Are all men men?", ["unknown"]),
+    ("Are all gods men?", ["unknown"]),
+    # did / have: lookup of the edge, lookup through a member,
+    # conjecture through a member and through the subject itself,
+    # unknown, unknown entity
+    ("Did Armstrong fly to the Moon?", [
+        "yes (proven)",
+        "  1. [asserted] edge: armstrong flew to moon = yes"]),
+    ("Did astronauts fly to the Moon?", [
+        "yes (proven)",
+        "  1. [asserted] edge: armstrong flew to moon = yes",
+        "  2. [asserted] membership: armstrong in astronaut = yes"]),
+    ("Have astronauts been to the Moon?", [
+        "unknown (plausible)",
+        ABDUCED_MOON,
+        "  2. [asserted] membership: armstrong in astronaut",
+        "  3. [hypothesis] hypothesis: some astronaut was at moon",
+        "  suggested: yes"]),
+    ("Have Armstrong been to the Moon?", [
+        "unknown (plausible)",
+        ABDUCED_MOON,
+        "  2. [asserted] identity: armstrong is the asked subject",
+        "  3. [hypothesis] hypothesis: some armstrong was at moon",
+        "  suggested: yes"]),
+    ("Did Socrates see the Moon?", ["unknown"]),
+    ("Did Zeus see the Moon?", ["unknown"]),
+]
+
+
+def test_stage_matrix_traced_output():
+    script = "".join(line + "\n" for line, _ in STAGE_MATRIX)
+    code, out = run_repl(script)
+    assert code == 0
+    assert out.splitlines() == [o for _, lines in STAGE_MATRIX for o in lines]
 
 
 def test_answers_deterministic(moon_path):
@@ -208,6 +308,15 @@ def test_repl_survives_parse_errors():
     assert lines[0].startswith("error:")
     assert lines[1].startswith("error:")  # rejected by the KB, not the parser
     assert lines[2] == "ok #1"
+
+
+@pytest.mark.parametrize("line", ["All birds are birds.", "All men are man."])
+def test_rejected_statement_creates_nothing(line):
+    s = Session()
+    with pytest.raises(KbError, match="trivial self-proposition rejected"):
+        s.assert_line(line)
+    assert [e.label for e in s.kb.entities()] == ["universe"]
+    assert s.kb.revision == 0
 
 
 def test_repl_unsupported_question_rejected_not_answered():
@@ -330,6 +439,24 @@ def test_ask_parse_error_exit_one(moon_path, capsys):
 def test_ask_missing_kb_exit_one(tmp_path, capsys):
     missing = str(tmp_path / "nope.kb")
     assert cli.main(["ask", "Is Socrates a man?", "--kb", missing]) == 1
+
+
+def test_non_utf8_kb_is_an_error_not_a_traceback(tmp_path):
+    path = tmp_path / "bad.kb"
+    path.write_bytes(b"Socrates is a man.\nAll men are \xff.\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(qa.__file__)),
+                      env.get("PYTHONPATH")]))
+    for argv in (["ask", "Is Socrates a man?"], ["check"], ["repl"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "exigraph.cli", *argv, "--kb", str(path)],
+            input="", capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith(f"error: {path}:2: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+    _, out = run_repl(f":load {path}\n")
+    assert out.startswith(f"error: {path}:2: ")
 
 
 def test_check_clean_kb(moon_path, capsys):
