@@ -70,13 +70,8 @@ class DefeasibleRule:
 # property tags: ("rel", verb, object_id) or ("mem", set_id)
 def _properties(kb: KnowledgeBase, ent: Entity) -> dict[tuple, str]:
     """TRUE-valued properties of an entity, mapped to the item id holding them."""
-    props: dict[tuple, str] = {}
-    for e in kb.edges():
-        if e.from_ == ent.id and e.value is TRUE:
-            props[("rel", e.name, e.to)] = e.id
-    for m in kb.memberships():
-        if m.element == ent.id and m.value is TRUE:
-            props[("mem", m.set_)] = m.id
+    props = {("rel", e.name, e.to): e.id for e in kb.edges(ent) if e.value is TRUE}
+    props.update((("mem", m.set_), m.id) for m in kb.memberships(ent) if m.value is TRUE)
     return props
 
 

@@ -33,22 +33,14 @@ def _print_answer(ans: qa.Answer, show_trace: bool, out) -> None:
 
 
 def cmd_ask(args) -> int:
-    try:
-        session = _load_session(args.kb, args.existential_import == "on")
-        ans = session.ask_line(args.question)
-    except (lang.ParseError, qa.LoadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    session = _load_session(args.kb, args.existential_import == "on")
+    ans = session.ask_line(args.question)
     _print_answer(ans, args.trace, sys.stdout)
     return 0
 
 
 def cmd_check(args) -> int:
-    try:
-        session = _load_session(args.kb, False)
-    except (qa.LoadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    session = _load_session(args.kb, False)
     added = closure(session.kb)
     print(f"closure added {added} propositions")
     problems = contradictions(session.kb)
@@ -61,11 +53,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_repl(args) -> int:
-    try:
-        session = _load_session(args.kb, args.existential_import == "on")
-    except (qa.LoadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    session = _load_session(args.kb, args.existential_import == "on")
     return repl(session, sys.stdin, sys.stdout)
 
 
@@ -167,7 +155,11 @@ def main(argv: list[str] | None = None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (lang.ParseError, qa.LoadError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _common_flags(p) -> None:

@@ -11,6 +11,10 @@ ignored, except that an ABDUCED write over an ASSERTED item raises
 :class:`ConflictError` (conjecture may never even try to displace a fact).
 Equal or higher precedence replaces.
 
+Memberships are keyed element -> set and edges source -> (name, target),
+so an entity's own rows are one lookup away; reads by set or target scan.
+Only this module reads them: others call ``memberships(e)``/``edges(e)``.
+
 The KB is single-writer / multi-reader: mutations are serialized behind a
 lock and bump a revision counter; :meth:`KnowledgeBase.snapshot` hands out
 an immutable deep copy for concurrent readers.
@@ -113,8 +117,8 @@ def canonical_label(label: str) -> str:
 class _Tables:
     entities: dict[int, Entity] = field(default_factory=dict)
     by_label: dict[str, int] = field(default_factory=dict)
-    memberships: dict[tuple[int, int], Membership] = field(default_factory=dict)
-    edges: dict[tuple[int, str, int], Edge] = field(default_factory=dict)
+    memberships: dict[int, dict[int, Membership]] = field(default_factory=dict)
+    edges: dict[int, dict[tuple[str, int], Edge]] = field(default_factory=dict)
     propositions: dict[tuple[str, int, int], Proposition] = field(default_factory=dict)
 
 
@@ -196,13 +200,12 @@ class KnowledgeBase:
                           value: Value3, provenance: Provenance = ASSERTED) -> Optional[str]:
         """Record element-in-set; returns the item id, or None if overridden."""
         with self._lock:
-            key = (element.id, set_.id)
-            old = self._t.memberships.get(key)
+            old = self.membership(element, set_)
             if not self._admit(old.provenance if old else None, provenance):
                 return None
             self._bump()
             item = Membership(self._new_id(), element.id, set_.id, value, provenance)
-            self._t.memberships[key] = item
+            self._t.memberships.setdefault(element.id, {})[set_.id] = item
             return item.id
 
     def assert_edge(self, name: str, from_: Entity, to: Entity,
@@ -211,13 +214,12 @@ class KnowledgeBase:
         if not name:
             raise KbError("relation name is empty")
         with self._lock:
-            key = (from_.id, name, to.id)
-            old = self._t.edges.get(key)
+            old = self._t.edges.get(from_.id, {}).get((name, to.id))
             if not self._admit(old.provenance if old else None, provenance):
                 return None
             self._bump()
             item = Edge(self._new_id(), name, from_.id, to.id, value, provenance)
-            self._t.edges[key] = item
+            self._t.edges.setdefault(from_.id, {})[(name, to.id)] = item
             return item.id
 
     def assert_proposition(self, form: str, subject: Entity, predicate: Entity,
@@ -240,8 +242,9 @@ class KnowledgeBase:
     def retract(self, item_id: str) -> bool:
         """Remove a membership/edge/proposition by id."""
         with self._lock:
-            for table in (self._t.memberships, self._t.edges, self._t.propositions):
-                for key, item in list(table.items()):
+            for table in (*self._t.memberships.values(), *self._t.edges.values(),
+                          self._t.propositions):
+                for key, item in table.items():
                     if item.id == item_id:
                         self._bump()
                         del table[key]
@@ -272,23 +275,29 @@ class KnowledgeBase:
     # -- reads ------------------------------------------------------------
 
     def items(self) -> Iterator[Membership | Edge | Proposition]:
-        yield from self._t.memberships.values()
-        yield from self._t.edges.values()
-        yield from self._t.propositions.values()
+        for table in (*self._t.memberships.values(), *self._t.edges.values(),
+                      self._t.propositions):
+            yield from table.values()
 
     def membership(self, element: Entity, set_: Entity) -> Optional[Membership]:
-        return self._t.memberships.get((element.id, set_.id))
+        return self._t.memberships.get(element.id, {}).get(set_.id)
 
-    def memberships(self) -> list[Membership]:
-        return sorted(self._t.memberships.values(),
+    def memberships(self, element: Optional[Entity] = None) -> list[Membership]:
+        """Every membership, or only ``element``'s, in label order."""
+        rows = self._t.memberships.values() if element is None \
+            else [self._t.memberships.get(element.id, {})]
+        return sorted((m for by_set in rows for m in by_set.values()),
                       key=lambda m: (self.label(m.element), self.label(m.set_)))
 
-    def edges(self) -> list[Edge]:
-        return sorted(self._t.edges.values(),
+    def edges(self, from_: Optional[Entity] = None) -> list[Edge]:
+        """Every edge, or only those leaving ``from_``, in label order."""
+        rows = self._t.edges.values() if from_ is None \
+            else [self._t.edges.get(from_.id, {})]
+        return sorted((e for by_target in rows for e in by_target.values()),
                       key=lambda e: (self.label(e.from_), e.name, self.label(e.to)))
 
     def edge(self, name: str, from_: Entity, to: Entity) -> Optional[Edge]:
-        return self._t.edges.get((from_.id, canonical_label(name), to.id))
+        return self._t.edges.get(from_.id, {}).get((canonical_label(name), to.id))
 
     def propositions(self) -> list[Proposition]:
         return sorted(self._t.propositions.values(),
@@ -305,14 +314,14 @@ class KnowledgeBase:
 
     def exists(self, element: Entity, context_set: Entity) -> Value3:
         """Membership value of element in context_set; UNKNOWN if unasserted."""
-        item = self._t.memberships.get((element.id, context_set.id))
+        item = self.membership(element, context_set)
         return item.value if item else UNKNOWN
 
     def members_true(self, set_: Entity) -> list[Entity]:
         """Known-TRUE members of a set, in label order."""
-        out = [self._t.entities[m.element]
-               for m in self._t.memberships.values()
-               if m.set_ == set_.id and m.value is TRUE]
+        out = [self._t.entities[element]
+               for element, by_set in self._t.memberships.items()
+               if (m := by_set.get(set_.id)) is not None and m.value is TRUE]
         return sorted(out, key=lambda e: e.label)
 
     def existence_degree(self, element: Entity) -> Value3:
@@ -324,11 +333,8 @@ class KnowledgeBase:
         tolerance); a chain that dead-ends contributes nothing.
         """
         root = self.root
-        outgoing: dict[int, list[Membership]] = {}
-        for m in self._t.memberships.values():
-            outgoing.setdefault(m.element, []).append(m)
-        for lst in outgoing.values():
-            lst.sort(key=lambda m: m.set_)
+        outgoing = {element: tuple(by_set.values())
+                    for element, by_set in self._t.memberships.items()}
 
         def walk(node: int, visited: frozenset[int]) -> Optional[Value3]:
             if node == root.id:
@@ -349,19 +355,15 @@ class KnowledgeBase:
 
     def perceives(self, observer: Entity, obj: Entity) -> Value3:
         """Disjunction over all relation edges observer -> obj; UNKNOWN if none."""
-        values = [e.value for e in self._t.edges.values()
-                  if e.from_ == observer.id and e.to == obj.id]
+        values = [e.value for e in self._t.edges.get(observer.id, {}).values()
+                  if e.to == obj.id]
         return any3(values) if values else UNKNOWN
 
     def meta_sets(self) -> list[Entity]:
         """Sets of sets: entities with a non-FALSE member that itself has members."""
-        out = []
-        for ent in self.entities():
-            for m in self._t.memberships.values():
-                if m.set_ != ent.id or m.value is FALSE:
-                    continue
-                if any(inner.set_ == m.element and inner.value is not FALSE
-                       for inner in self._t.memberships.values()):
-                    out.append(ent)
-                    break
-        return out
+        live = [(m.element, m.set_) for by_set in self._t.memberships.values()
+                for m in by_set.values() if m.value is not FALSE]
+        nonempty = {set_ for _, set_ in live}
+        metas = {self._t.entities[set_] for element, set_ in live
+                 if element in nonempty}
+        return sorted(metas, key=lambda e: e.label)

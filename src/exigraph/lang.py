@@ -90,15 +90,11 @@ class Lexicon:
         canonical = canonical_label(canonical)
         if surface == canonical:
             raise ValueError(f"lexicon entry maps {surface!r} to itself")
-        seen, cur = {surface}, canonical
-        while cur in self._map and cur != surface:
-            cur = self._map[cur]
-            if cur in seen:
-                raise ValueError(f"lexicon cycle through {surface!r}")
-            seen.add(cur)
-        if cur == surface:
+        # the surface may not come back, by a cycle or inside its expansion
+        old, self._map = self._map, {**self._map, surface: canonical}
+        if f" {surface} " in f" {self.canon(surface)} ":
+            self._map = old
             raise ValueError(f"lexicon cycle through {surface!r}")
-        self._map[surface] = canonical
         self._user[surface] = canonical
 
     def entries(self) -> list[tuple[str, str]]:
@@ -109,9 +105,9 @@ class Lexicon:
         return phrase in self._map or phrase in self._map.values()
 
     def canon(self, phrase: str) -> str:
-        """Apply the mapping to a fixpoint: whole phrase first, then word
-        by word.  Idempotent by construction (the mapping is acyclic)."""
-        phrase = canonical_label(phrase)
+        """Apply the mapping to a fixpoint, whole phrase first, then word by
+        word; a phrase with none in 32 steps stays as it is (idempotence)."""
+        phrase = original = canonical_label(phrase)
         for _ in range(32):
             if phrase in self._map:
                 phrase = self._map[phrase]
@@ -120,8 +116,10 @@ class Lexicon:
             replaced = " ".join(words)
             if replaced == phrase:
                 return phrase
+            if len(replaced) > len(original) + 4096:
+                break  # it keeps growing
             phrase = replaced
-        return phrase
+        return original
 
 
 EMPTY_LEXICON = Lexicon()

@@ -20,6 +20,7 @@ is what lets set-level evidence answer questions about broader sets.
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -82,10 +83,17 @@ class Session:
     def apply_statement(self, ast: lang.StatementAst) -> tuple[int, list]:
         aims: list = []
         if isinstance(ast, lang.LexiconStmt):
+            # a saved file lists the lexicon first: no stored line may change
+            trial = copy.deepcopy(self.lexicon)
             try:
-                self.lexicon.add(ast.surface, ast.canonical)
+                trial.add(ast.surface, ast.canonical)
             except ValueError as exc:
                 raise lang.ParseError(str(exc)) from exc
+            for line in _stored_lines(self):
+                if lang.parse_statement(line, trial) \
+                        != lang.parse_statement(line, self.lexicon):
+                    raise lang.ParseError(f"lexicon entry would change {line!r}")
+            self.lexicon = trial
         elif isinstance(ast, lang.RuleStmt):
             rule = DefeasibleRule(ast.premise_verb, ast.conclusion_verb)
             if rule not in self.rules:
@@ -204,10 +212,10 @@ def _membership_lookup(kb: KnowledgeBase, q: lang.IsAQ, x: Entity, s: Entity
             return None
         return _proven(item.value, [step])
     # singleton promotion: x's known sets feed the categorical store
-    for t in kb.entities():
-        if kb.exists(x, t) is not TRUE or t.id == s.id:
+    for mem in kb.memberships(x):
+        if mem.value is not TRUE or mem.set_ == s.id:
             continue
-        mem = kb.membership(x, t)
+        t = kb.by_id(mem.set_)
         for form, verdict in (("A", TRUE), ("E", FALSE)):
             if eval_proposition(kb, CategoricalProposition(form, t, s)) is TRUE:
                 prov = _proposition_kind(kb, form, t, s)
@@ -353,21 +361,16 @@ class LoadError(Exception):
         super().__init__(f"{path}:{line_no}: {cause}")
 
 
-def save_kb(session: Session, path: str) -> int:
-    """Serialize the asserted content as controlled-language lines.
+def _stored_lines(session: Session) -> list[str]:
+    """Everything a saved file holds after the lexicon, as lines.
 
-    A temp file beside ``path`` is written, then renamed over it, so a
-    save that fails part-way leaves the previous file as it was.
-
-    Order is deterministic: lexicon, rules, triggers, memberships,
-    categorical propositions, SPO edges, each group alphabetical.  Only
-    asserted, language-expressible content is written; deduced and
-    abduced items are recomputed on demand after a load.
+    Order is deterministic: rules, triggers, memberships, categorical
+    propositions, SPO edges, each group alphabetical.  Only asserted,
+    language-expressible content is written; deduced and abduced items
+    are recomputed on demand after a load.
     """
     kb = session.kb
     lines: list[str] = []
-    for surface, canonical in session.lexicon.entries():
-        lines.append(lang.render(lang.LexiconStmt(surface, canonical)))
     for rule in sorted(session.rules, key=lambda r: (r.premise_verb,
                                                      r.conclusion_verb)):
         lines.append(lang.render(lang.RuleStmt(rule.premise_verb,
@@ -393,7 +396,15 @@ def save_kb(session: Session, path: str) -> int:
             group.append(lang.render(lang.SpoStmt(
                 kb.label(e.from_), e.name, kb.label(e.to))))
     lines.extend(sorted(group))
+    return lines
 
+
+def save_kb(session: Session, path: str) -> int:
+    """Write the lexicon, then :func:`_stored_lines`, to a temp file beside
+    ``path`` and rename it over ``path``: a failed save leaves the old file."""
+    lines = [lang.render(lang.LexiconStmt(surface, canonical))
+             for surface, canonical in session.lexicon.entries()]
+    lines += _stored_lines(session)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

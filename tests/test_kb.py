@@ -3,9 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exigraph.kb import (ASSERTED, ConflictError, KbError, Kind,
-                         KnowledgeBase, Provenance)
-from exigraph.logic3 import FALSE, TRUE, UNKNOWN, VALUES
+from exigraph.kb import (ASSERTED, ConflictError, Edge, KbError, Kind,
+                         KnowledgeBase, Membership, Provenance)
+from exigraph.logic3 import FALSE, TRUE, UNKNOWN, VALUES, any3
 
 from oracles import oracle_existence_degree
 
@@ -261,3 +261,108 @@ def test_snapshot_is_immutable(kb):
         snap.assert_membership(a, b, FALSE)
     kb.assert_membership(a, b, FALSE)
     assert snap.exists(a, b) is TRUE
+
+
+# -- the table layout -----------------------------------------------------
+
+_LABELS = ("a", "b", "c", "universe")
+_VERBS = ("sees", "likes")
+_RANK = {Kind.ASSERTED: 2, Kind.DEDUCED: 1, Kind.ABDUCED: 0}
+_step = st.one_of(
+    st.tuples(st.sampled_from(("mem", "edge")), st.sampled_from(_LABELS),
+              st.sampled_from(_VERBS), st.sampled_from(_LABELS),
+              st.sampled_from(VALUES), st.sampled_from(list(Kind)),
+              st.integers(1, 10)),
+    st.tuples(st.just("retract"), st.integers(1, 12)),
+    st.just(("prune",)))
+
+
+def _reads_agree_with_items(kb):
+    """Every read equals the same filter over ``items()``."""
+    items = list(kb.items())
+    mems = [i for i in items if isinstance(i, Membership)]
+    edges = [i for i in items if isinstance(i, Edge)]
+    mem_key = lambda m: (kb.label(m.element), kb.label(m.set_))  # noqa: E731
+    edge_key = lambda e: (kb.label(e.from_), e.name, kb.label(e.to))  # noqa: E731
+    assert kb.memberships() == sorted(mems, key=mem_key)
+    assert kb.edges() == sorted(edges, key=edge_key)
+    ents = kb.entities()
+    for x in ents:
+        assert kb.memberships(x) == sorted(
+            (m for m in mems if m.element == x.id), key=mem_key)
+        out = sorted((e for e in edges if e.from_ == x.id), key=edge_key)
+        assert kb.edges(x) == out
+        assert kb.members_true(x) == sorted(
+            (kb.by_id(m.element) for m in mems
+             if m.set_ == x.id and m.value is TRUE), key=lambda e: e.label)
+        for y in ents:
+            found = [m for m in mems if (m.element, m.set_) == (x.id, y.id)]
+            assert kb.membership(x, y) is (found[0] if found else None)
+            assert kb.exists(x, y) is (found[0].value if found else UNKNOWN)
+            values = [e.value for e in out if e.to == y.id]
+            assert kb.perceives(x, y) is (any3(values) if values else UNKNOWN)
+            for verb in _VERBS:
+                found = [e for e in out if (e.name, e.to) == (verb, y.id)]
+                assert kb.edge(verb, x, y) is (found[0] if found else None)
+
+
+def _view(kb):
+    return ([(i.id, i.value, i.provenance) for i in kb.items()],
+            [(kb.memberships(e), kb.edges(e)) for e in kb.entities()])
+
+
+def _model_prune(live):
+    removed = 0
+    while True:
+        ids = {item_id for item_id, _ in live.values()}
+        doomed = [key for key, (_, prov) in live.items()
+                  if prov.kind is not Kind.ASSERTED
+                  and any(s not in ids for s in prov.sources)]
+        if not doomed:
+            return removed
+        for key in doomed:
+            del live[key]
+            removed += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_step, max_size=25), st.integers(0, 25))
+def test_tables_match_a_model_of_writes_and_retracts(steps, snap_at):
+    kb = KnowledgeBase()
+    ents = {label: kb.upsert_entity(label) for label in _LABELS}
+    live: dict[tuple, tuple[str, Provenance]] = {}  # key -> (id, provenance)
+    snap = frozen = None
+    for i, step in enumerate(steps):
+        if i == snap_at:
+            snap = kb.snapshot()
+            frozen = _view(snap)
+        if step[0] == "retract":
+            item_id = f"#{step[1]}"
+            key = next((k for k, (iid, _) in live.items() if iid == item_id),
+                       None)
+            assert kb.retract(item_id) is (key is not None)
+            live.pop(key, None)
+        elif step[0] == "prune":
+            assert kb.prune_unsupported() == _model_prune(live)
+        else:
+            table, x, verb, y, value, kind, source = step
+            prov = ASSERTED if kind is Kind.ASSERTED \
+                else Provenance(kind, (f"#{source}",))
+            key = (x, y) if table == "mem" else (x, verb, y)
+            old = live.get(key)
+            write = (lambda: kb.assert_membership(ents[x], ents[y], value, prov)) \
+                if table == "mem" \
+                else (lambda: kb.assert_edge(verb, ents[x], ents[y], value, prov))
+            if old and old[1].kind is Kind.ASSERTED and kind is Kind.ABDUCED:
+                with pytest.raises(ConflictError):
+                    write()
+            elif old is None or _RANK[kind] >= _RANK[old[1].kind]:
+                live[key] = (write(), prov)
+            else:
+                assert write() is None
+        _reads_agree_with_items(kb)
+        assert len(list(kb.items())) == len(live)
+        assert {item.id for item in kb.items()} == {iid for iid, _ in live.values()}
+    if snap is not None:
+        assert _view(snap) == frozen
+        _reads_agree_with_items(snap)

@@ -139,6 +139,28 @@ def test_lexicon_rejects_cycles():
         lex.add("b", "a")
     with pytest.raises(ValueError):
         lex.add("c", "c")
+    with pytest.raises(ValueError):  # expands into itself
+        lex.add("bob", "big bob")
+    assert lex.canon("bob") == "bob"
+    assert lex.entries() == [("a", "b")]
+
+
+_lex_phrase = st.lists(st.sampled_from("abcd"), min_size=1,
+                       max_size=3).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_lex_phrase, _lex_phrase), max_size=8), _lex_phrase)
+def test_canon_idempotent_after_any_accepted_entries(entries, phrase):
+    lex = Lexicon.with_defaults()
+    for surface, canonical in entries:
+        try:
+            lex.add(surface, canonical)
+        except ValueError:
+            pass
+    for text in (phrase, *(p for entry in entries for p in entry)):
+        once = lex.canon(text)
+        assert lex.canon(once) == once
 
 
 def test_lexicon_applies_word_wise_inside_phrases():

@@ -6,7 +6,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exigraph import cli, qa
 from exigraph.agency import AimClass
@@ -370,11 +370,10 @@ _NOUNS = ("man", "men", "mortal", "bird", "fish", "astronauts", "people",
 _VERBS = ("flew to", "was at", "asked", "saw")
 
 
-def _repl_line():
+def _statement_line():
     noun = st.sampled_from(_NOUNS)
     verb = st.sampled_from(_VERBS)
-    word = st.sampled_from(("yes", "no", "unknown", "maybe", "on", "off"))
-    statements = st.one_of(
+    return st.one_of(
         st.builds("{} is a {}.".format, noun, noun),
         st.builds("All {} are {}.".format, noun, noun),
         st.builds("No {} are {}.".format, noun, noun),
@@ -384,6 +383,12 @@ def _repl_line():
         st.builds("lexicon: {} = {}.".format, noun, noun),
         st.builds("rule: X {} Y => X {} Y.".format, verb, verb),
         st.builds('trigger: when * {} * then "see {{object}}".'.format, verb))
+
+
+def _repl_line():
+    noun = st.sampled_from(_NOUNS)
+    verb = st.sampled_from(_VERBS)
+    word = st.sampled_from(("yes", "no", "unknown", "maybe", "on", "off"))
     questions = st.one_of(
         st.builds("Is {} a {}?".format, noun, noun),
         st.builds("Are all {} {}?".format, noun, noun),
@@ -396,7 +401,8 @@ def _repl_line():
                          ":load {dir}/none.kb")),
         st.builds(":abduce {}".format, noun),
         st.builds(":classify {} {}".format, word, word))
-    return st.one_of(statements, questions, commands, st.text(max_size=30))
+    return st.one_of(_statement_line(), questions, commands,
+                     st.text(max_size=30))
 
 
 _REPL_OUTPUT = re.compile(
@@ -413,6 +419,38 @@ def test_repl_fuzz_never_raises(lines):
     assert code == 0
     for line in out.split("\n")[:-1]:
         assert _REPL_OUTPUT.match(line), line
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_statement_line(), max_size=12))
+@example(["Some astronauts are socrates.", "lexicon: socrates = astronauts."])
+@example(["Plato is a philosopher.", "lexicon: plato = socrates."])
+def test_save_load_save_byte_identical_after_any_script(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "1.kb"), os.path.join(tmp, "2.kb")
+        run_repl("".join(line + "\n" for line in lines) + f":save {first}\n")
+        save_kb(load_kb(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("stored, entry, question", [
+    ("Some astronauts are socrates.", "lexicon: socrates = astronauts.",
+     "Are any astronauts socrates?"),
+    ("Plato is a philosopher.", "lexicon: plato = socrates.",
+     "Is Plato a philosopher?"),
+    ("Bob is a man.", "lexicon: bob = big bob.", "Is Bob a man?"),
+])
+def test_refused_lexicon_entry_leaves_the_session_unchanged(
+        stored, entry, question, tmp_path):
+    path = tmp_path / "s.kb"
+    _, out = run_repl(f"{stored}\n{entry}\n{question}\n:save {path}\n"
+                      f":load {path}\n{question}\n")
+    lines = out.splitlines()
+    assert lines[0] == "ok #1"
+    assert lines[1].startswith("error: ")
+    assert lines[2:] == ["yes (proven)", "ok #1", "ok #1", "yes (proven)"]
+    assert path.read_text() == stored + "\n"  # no lexicon line
 
 
 # -- the cli ---------------------------------------------------------------
