@@ -1,8 +1,8 @@
 """Walk through the lunar dialogue end to end.
 
 Builds the five-line KB, asks the question, and prints the verdict with
-its full evidence trace.  Run with --existential-import on to see the
-larger mood table in action during closure.
+its full evidence trace.  Run with --existential-import on to answer as
+if every term had a member (the 24-mood logic).
 """
 
 import argparse

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .kb import Entity, Kind, KnowledgeBase, Provenance
+from .kb import Edge, Entity, Kind, KnowledgeBase, Provenance
 from .logic3 import TRUE, UNKNOWN
 from .syllogistics import CategoricalProposition
 
@@ -84,22 +84,33 @@ def _prop_sort_key(kb: KnowledgeBase, tag: tuple) -> tuple:
 def abduce_membership(x: Entity, kb: KnowledgeBase) -> list[Hypothesis]:
     """Conjecture sets ``x`` may belong to, from properties shared with all
     known members; sorted by score descending, ties by set label."""
-    x_props = _properties(kb, x)
-    out: list[Hypothesis] = []
-    for set_ in kb.entities():
-        if set_.id == x.id:
+    out = [hyp for set_ in kb.entities()
+           if (hyp := candidate([x], set_, kb)) is not None]
+    out.sort(key=lambda h: (-h.score[0], -h.score[1], h.proposition.set_.label))
+    return out
+
+
+def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
+              ) -> Optional[Hypothesis]:
+    """The hypothesis :func:`abduce_membership` makes about ``set_`` for
+    the first of ``elements`` it makes one for, or None.
+
+    The members of ``set_`` are read once, however many elements are
+    tried, so asking about one set costs the same whatever else the KB
+    holds.
+    """
+    member_props = common = None
+    for x in elements:
+        if x.id == set_.id or kb.exists(x, set_) is TRUE:
             continue
-        members = kb.members_true(set_)
-        if not members:
-            continue
-        if kb.exists(x, set_) is TRUE:
-            continue
-        member_props = [_properties(kb, m) for m in members]
-        common = set(member_props[0])
-        for props in member_props[1:]:
-            common &= set(props)
-        common.discard(("mem", set_.id))
-        shared = sorted(common & set(x_props),
+        if member_props is None:
+            member_props = [_properties(kb, m) for m in kb.members_true(set_)]
+            common = set(member_props[0]) if member_props else set()
+            for props in member_props[1:]:
+                common &= set(props)
+            common.discard(("mem", set_.id))
+        x_props = _properties(kb, x)
+        shared = sorted(common & x_props.keys(),
                         key=lambda t: _prop_sort_key(kb, t))
         if not shared:
             continue
@@ -107,36 +118,47 @@ def abduce_membership(x: Entity, kb: KnowledgeBase) -> list[Hypothesis]:
         for tag in shared:
             evidence.append(x_props[tag])
             evidence.extend(props[tag] for props in member_props)
-        out.append(Hypothesis(MembershipProposal(x, set_),
-                              tuple(dict.fromkeys(evidence)),
-                              (len(shared), len(members))))
-    out.sort(key=lambda h: (-h.score[0], -h.score[1], h.proposition.set_.label))
+        return Hypothesis(MembershipProposal(x, set_),
+                          tuple(dict.fromkeys(evidence)),
+                          (len(shared), len(member_props)))
+    return None
+
+
+def rule_edges(rules: list[DefeasibleRule], kb: KnowledgeBase) -> list[Edge]:
+    """The edges the rules conclude, to a fixpoint, without storing them.
+
+    Each rule fires over TRUE or abduced edges; a conclusion is UNKNOWN,
+    ABDUCED, names its rule and the stored edge its chain starts from, and
+    is drawn only where no edge is stored.  Conclusions have no item id.
+    """
+    stored = kb.edges()
+    known = {(e.name, e.from_, e.to) for e in stored}
+    todo = [e for e in stored
+            if e.value is TRUE or e.provenance.kind is Kind.ABDUCED]
+    out: list[Edge] = []
+    while todo:
+        premise = todo.pop()
+        origin = premise.id or premise.provenance.sources[-1]
+        for rule in rules:
+            key = (rule.conclusion_verb, premise.from_, premise.to)
+            if rule.premise_verb != premise.name or key in known:
+                continue
+            known.add(key)
+            edge = Edge("", rule.conclusion_verb, premise.from_, premise.to,
+                        UNKNOWN, Provenance(Kind.ABDUCED, (rule.name, origin)))
+            out.append(edge)
+            todo.append(edge)
     return out
 
 
 def apply_rules(rules: list[DefeasibleRule], kb: KnowledgeBase) -> int:
-    """Fire each rule over matching TRUE or abduced edges, adding UNKNOWN
-    conclusion edges with ABDUCED provenance; asserted triples are left
-    alone.  Runs to a fixpoint; idempotent on re-run."""
-    added = 0
-    while True:
-        fired = 0
-        for rule in rules:
-            for edge in list(kb.edges()):
-                if edge.name != rule.premise_verb:
-                    continue
-                if not (edge.value is TRUE or edge.provenance.kind is Kind.ABDUCED):
-                    continue
-                frm, to = kb.by_id(edge.from_), kb.by_id(edge.to)
-                old = kb.edge(rule.conclusion_verb, frm, to)
-                if old is not None:
-                    continue
-                prov = Provenance(Kind.ABDUCED, (rule.name, edge.id))
-                if kb.assert_edge(rule.conclusion_verb, frm, to, UNKNOWN, prov):
-                    fired += 1
-        if not fired:
-            return added
-        added += fired
+    """Store what :func:`rule_edges` concludes; asserted triples are left
+    alone and a re-run adds nothing.  Returns the number of edges added."""
+    added = rule_edges(rules, kb)
+    for edge in added:
+        kb.assert_edge(edge.name, kb.by_id(edge.from_), kb.by_id(edge.to),
+                       edge.value, edge.provenance)
+    return len(added)
 
 
 def generalize(elements: list[Entity], kb: KnowledgeBase) -> Optional[Hypothesis]:

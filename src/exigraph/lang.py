@@ -379,7 +379,9 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
             raise ParseError("malformed trigger", 0,
                              ('trigger: when <pattern> then "<aim>".',))
         pat = _drop_articles(_tokens(m.group("pat")))
-        s, v, o = _split_spo_pattern(pat)
+        # slots match canonical labels, so they read through the lexicon
+        s, v, o = (slot if slot == "*" else lexicon.canon(slot)
+                   for slot in _split_spo_pattern(pat))
         return _wrap(lambda: TriggerStmt(s, v, o, m.group("txt")), 0)
 
     toks = _tokens(body)

@@ -1,21 +1,27 @@
 """Question answering: staged evaluation over a session.
 
 Stage 1 answers from direct lookups (membership, stored propositions,
-relation edges); a definite result is Proven.  Stage 2 runs syllogistic
-closure and retries.  Stage 3 applies the defeasible rules and abduces
-memberships; any support found this way leaves the verdict UNKNOWN but
-marks the answer Plausible, with the suggested answer and the full
-evidence trail in the trace.  A definite verdict is therefore never backed
-by an abduced step: the engine does not decide where it could decide
-wrongly, and a human reading the trace upgrades plausibility to belief.
-:func:`answer` is the one place where this stage order lives; each
-question kind supplies only its lookup and its conjecture.
+relation edges); a definite result is Proven.  Stage 2 asks
+:func:`~exigraph.syllogistics.entails` whether every model of the stored
+propositions and memberships settles the question; if so the answer is
+Proven, and if both verdicts are entailed the KB contradicts itself and
+the answer is UNKNOWN, naming the witness that clashes.  Stage 3 applies
+the defeasible rules and abduces memberships; any support found this way
+leaves the verdict UNKNOWN but marks the answer Plausible, with the
+suggested answer and the full evidence trail in the trace.  A definite
+verdict is therefore never backed by an abduced step: the engine does not
+decide where it could decide wrongly, and a human reading the trace
+upgrades plausibility to belief.  :func:`answer` is the one place where
+this stage order lives; each question kind supplies its lookup, its
+entailment check and its conjecture.  No stage writes to the KB: a
+question leaves the KB and its revision as they were.
 
-Singular statements live in the KB as memberships; they are promoted to
-propositions over singleton sets only here, when a syllogistic step needs
-them.  Multi-word noun phrases are linked to their head noun ("american
-astronauts" are astronauts) with DEDUCED provenance when asserted, which
-is what lets set-level evidence answer questions about broader sets.
+Singular statements live in the KB as memberships; the lookup promotes
+them to propositions over singleton sets when a stored proposition about
+one of the element's sets answers the question.  Multi-word noun phrases
+are linked to their head noun ("american astronauts" are astronauts) with
+DEDUCED provenance when asserted, which is what lets set-level evidence
+answer questions about broader sets.
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import lang
-from .abduction import DefeasibleRule, abduce_membership, apply_rules
+from .abduction import DefeasibleRule, candidate, rule_edges
 from .agency import Observation, Trigger, fire_triggers
 from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
                  canonical_label)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
-from .syllogistics import (CategoricalProposition, closure, eval_proposition)
+from .syllogistics import CategoricalProposition, entails, eval_proposition
 
 PROVEN = "proven"
 PLAUSIBLE = "plausible"
@@ -149,39 +155,40 @@ class Session:
 
 
 def answer(q: lang.QuestionAst, session: Session) -> Answer:
-    """Answer one question: lookup, closure, lookup, rules, conjecture.
+    """Answer one question: lookup, entailment, then rules and conjecture.
 
-    An unknown entity answers UNKNOWN at once.  Closure runs even for
-    did/have questions, which it cannot settle, because what it deduces
-    stays in the KB and moves the revision.
+    An unknown entity answers UNKNOWN at once.  Did/have questions have no
+    entailment stage: edges are not categorical.  Nothing is written to
+    the KB, so a question never moves the revision.
     """
     kb = session.kb
     if isinstance(q, lang.IsAQ):
         labels = q.proper, q.set_
-        lookup, conjecture = _membership_lookup, _membership_conjecture
+        lookup, entailment, conjecture = (_membership_lookup,
+                                          _membership_entailment,
+                                          _membership_conjecture)
     elif isinstance(q, (lang.AreAllQ, lang.AreAnyQ)):
         # no categorical proposition relates a term to itself
         if canonical_label(q.subject) == canonical_label(q.predicate):
             return Answer(UNKNOWN, None)
         labels = q.subject, q.predicate
-        lookup, conjecture = _categorical_lookup, _categorical_conjecture
+        lookup, entailment, conjecture = (_categorical_lookup,
+                                          _categorical_entailment,
+                                          _categorical_conjecture)
     elif isinstance(q, lang.DidSpoQ):
         labels = q.subject, q.obj
-        lookup, conjecture = _edge_lookup, _edge_conjecture
+        lookup, entailment, conjecture = _edge_lookup, None, _edge_conjecture
     else:
         raise TypeError(f"not a question AST: {q!r}")
     a, b = kb.entity(labels[0]), kb.entity(labels[1])
     if a is None or b is None:
         return Answer(UNKNOWN, None)
     found = lookup(kb, q, a, b)
-    if found:
-        return found
-    closure(kb, session.existential_import)
-    found = lookup(kb, q, a, b)
-    if found:
-        return found
-    apply_rules(session.rules, kb)
-    return conjecture(kb, q, a, b) or Answer(UNKNOWN, None)
+    if found is None and entailment is not None:
+        found = entailment(kb, q, a, b, session.existential_import)
+    if found is None:
+        found = conjecture(kb, q, a, b, session.rules)
+    return found or Answer(UNKNOWN, None)
 
 
 def _proven(verdict: Value3, trace: list[TraceStep]) -> Answer:
@@ -198,6 +205,12 @@ def _proposition_kind(kb: KnowledgeBase, form: str, s: Entity, p: Entity
     stored and the evaluation alone supports it."""
     stored = kb.proposition(form, s, p)
     return stored.provenance.kind if stored else Kind.DEDUCED
+
+
+def _contradiction(description: str) -> Answer:
+    """Both verdicts are entailed, so the KB contradicts itself: say where."""
+    return Answer(UNKNOWN, None, [TraceStep("witness", description,
+                                            Kind.DEDUCED.value)])
 
 
 # -- is-a questions -------------------------------------------------------
@@ -232,17 +245,54 @@ def _membership_lookup(kb: KnowledgeBase, q: lang.IsAQ, x: Entity, s: Entity
     return None
 
 
+def _membership_entailment(kb: KnowledgeBase, q: lang.IsAQ, x: Entity,
+                           s: Entity, existential_import: bool
+                           ) -> Optional[Answer]:
+    """x's own memberships and the A/E implications settle it.  The trace
+    names the first of x's sets, TRUE ones first and each group in label
+    order, whose relation to ``s`` carries the verdict."""
+    yes, no = entails(kb, "in", x, s), entails(kb, "out", x, s)
+    if yes and no:
+        return _contradiction(yes)
+    if not (yes or no):
+        return None
+    verdict = TRUE if yes else FALSE
+    for mem in sorted(kb.memberships(x), key=lambda m: m.value is not TRUE):
+        if mem.set_ == s.id or mem.provenance.kind is Kind.ABDUCED:
+            continue
+        t = kb.by_id(mem.set_)
+        if mem.value is TRUE:  # all t are s, or no t are s
+            form, subject, predicate = ("A" if yes else "E"), t, s
+        elif mem.value is FALSE and no:  # x is not a t, and all s are t
+            form, subject, predicate = "A", s, t
+        else:
+            continue
+        if entails(kb, form, subject, predicate):
+            word = "all" if form == "A" else "no"
+            return _proven(verdict, [
+                TraceStep("membership", f"{x.label} in {t.label} = {mem.value}",
+                          mem.provenance.kind.value),
+                TraceStep("proposition",
+                          f"{word} {subject.label} are {predicate.label}",
+                          _proposition_kind(kb, form, subject,
+                                            predicate).value),
+            ])
+    # x has no membership to cite: s itself can have no members
+    return _proven(verdict, [TraceStep("witness", no, Kind.DEDUCED.value)])
+
+
 def _membership_conjecture(kb: KnowledgeBase, q: lang.IsAQ, x: Entity,
-                           s: Entity) -> Optional[Answer]:
-    for hyp in abduce_membership(x, kb):
-        if hyp.proposition.set_.id == s.id:
-            return _plausible([
-                TraceStep("hypothesis",
-                          f"{x.label} may be in {s.label} "
-                          f"(shared properties: {hyp.score[0]}, "
-                          f"members: {hyp.score[1]})", "hypothesis"),
-                TraceStep("evidence", ", ".join(hyp.evidence), "abduced"),
-            ], TRUE)
+                           s: Entity, rules: list[DefeasibleRule]
+                           ) -> Optional[Answer]:
+    hyp = candidate([x], s, kb)
+    if hyp is not None:
+        return _plausible([
+            TraceStep("hypothesis",
+                      f"{x.label} may be in {s.label} "
+                      f"(shared properties: {hyp.score[0]}, "
+                      f"members: {hyp.score[1]})", "hypothesis"),
+            TraceStep("evidence", ", ".join(hyp.evidence), "abduced"),
+        ], TRUE)
     item = kb.membership(x, s)
     if item is not None and item.provenance.kind is Kind.ABDUCED:
         return _plausible([TraceStep(
@@ -269,16 +319,35 @@ def _categorical_lookup(kb: KnowledgeBase,
         prov.value)])
 
 
+def _categorical_entailment(kb: KnowledgeBase,
+                            q: Union[lang.AreAllQ, lang.AreAnyQ],
+                            s: Entity, p: Entity, existential_import: bool
+                            ) -> Optional[Answer]:
+    form, contrary = ("A", "O") if isinstance(q, lang.AreAllQ) else ("I", "E")
+    yes = entails(kb, form, s, p, existential_import)
+    no = entails(kb, contrary, s, p, existential_import)
+    if yes and no:
+        # the I or O check read every witness: it names the one that clashes
+        return _contradiction(no if form == "A" else yes)
+    if not (yes or no):
+        return None
+    verdict = TRUE if yes else FALSE
+    word = "all" if form == "A" else "some"
+    return _proven(verdict, [TraceStep(
+        "proposition", f"{word} {s.label} are {p.label} = {verdict}",
+        _proposition_kind(kb, form, s, p).value)])
+
+
 def _categorical_conjecture(kb: KnowledgeBase,
                             q: Union[lang.AreAllQ, lang.AreAnyQ],
-                            s: Entity, p: Entity) -> Optional[Answer]:
-    for member in kb.members_true(s):
-        for hyp in abduce_membership(member, kb):
-            if hyp.proposition.set_.id == p.id:
-                return _plausible([TraceStep(
-                    "hypothesis", f"{member.label} may be in {p.label}",
-                    "hypothesis")], TRUE)
-    return None
+                            s: Entity, p: Entity,
+                            rules: list[DefeasibleRule]) -> Optional[Answer]:
+    hyp = candidate(kb.members_true(s), p, kb)
+    if hyp is None:
+        return None
+    return _plausible([TraceStep(
+        "hypothesis", f"{hyp.proposition.element.label} may be in {p.label}",
+        "hypothesis")], TRUE)
 
 
 # -- spo questions --------------------------------------------------------
@@ -312,11 +381,13 @@ def _edge_lookup(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity, o: Entity
 
 
 def _edge_conjecture(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity,
-                     o: Entity) -> Optional[Answer]:
-    """Look for a (possibly abduced) actor linked to the asked subject."""
-    for edge in kb.edges():
-        if edge.name != q.verb or edge.to != o.id or edge.value is FALSE:
-            continue
+                     o: Entity, rules: list[DefeasibleRule]
+                     ) -> Optional[Answer]:
+    """Look for an actor linked to the asked subject, through stored edges
+    and the edges the rules would conclude."""
+    edges = [e for e in kb.edges() + rule_edges(rules, kb)
+             if e.name == q.verb and e.to == o.id and e.value is not FALSE]
+    for edge in sorted(edges, key=lambda e: kb.label(e.from_)):
         actor = kb.by_id(edge.from_)
         link = _subject_link(kb, actor, s)
         if link is None:
@@ -347,7 +418,7 @@ def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity
     if mem is not None and mem.value is not FALSE:
         return TraceStep("membership", f"{actor.label} in {s.label}",
                          mem.provenance.kind.value)
-    if eval_proposition(kb, CategoricalProposition("A", actor, s)) is TRUE:
+    if entails(kb, "A", actor, s):
         return TraceStep("proposition", f"all {actor.label} are {s.label}",
                          _proposition_kind(kb, "A", actor, s).value)
     return None

@@ -8,7 +8,9 @@ size up to 3 suffice to find a countermodel for every invalid combination.
 
 Without existential import 15 moods survive; allowing the import assumption
 (each term denotes a nonempty set) admits 9 more, each tagged with the one
-term whose nonemptiness it needs.
+term whose nonemptiness it needs.  The table drives :func:`closure`, which
+``check`` and ``:closure`` run; questions are settled by :func:`entails`,
+a complete decision procedure for the same fragment.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .kb import Entity, Kind, KnowledgeBase, Provenance
+from .kb import (Entity, Kind, KnowledgeBase, Membership, Proposition,
+                 Provenance)
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3
 
 FORMS = ("A", "E", "I", "O")
@@ -242,3 +245,117 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
             out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
                        f"and its contrary {CONTRADICTORY[s.form]} are both stored true")
     return out
+
+
+# -- entailment: one 2-SAT check per witness -------------------------------
+#
+# A/E propositions are 2-clauses over "is in set t" literals: A(s,p) gives
+# the implications s -> p and not p -> not s, E(s,p) gives s -> not p and
+# p -> not s.  Everything the KB says exists is a *witness*, a set of unit
+# literals: each I(s,p) is {s, p}, each O(s,p) is {s, not p}, each element
+# is its definite memberships.  The KB has a model iff no witness reaches
+# both t and not t along the implications: witnesses do not constrain one
+# another, and every clause has a negative literal, so following the
+# implications from the units is a complete check (Aspvall, Plass & Tarjan
+# 1979; Pratt-Hartmann & Moss 2009).  A claim is entailed iff the KB plus
+# its denial has no model.
+
+Literal = tuple[int, bool]  # (set entity id, in the set?)
+
+
+def _stated(q: Proposition, forms: str) -> bool:
+    """A stored TRUE, non-abduced proposition of one of ``forms``."""
+    return q.form in forms and q.value is TRUE \
+        and q.provenance.kind is not Kind.ABDUCED
+
+
+def _units(rows: Iterable[Membership]) -> list[Literal]:
+    """An element's definite, non-abduced memberships as unit literals."""
+    return [(m.set_, m.value is TRUE) for m in rows
+            if m.value.is_definite() and m.provenance.kind is not Kind.ABDUCED]
+
+
+def _implications(kb: KnowledgeBase) -> dict[Literal, list[Literal]]:
+    graph: dict[Literal, list[Literal]] = {}
+    for q in kb.propositions():
+        if _stated(q, "AE"):
+            _add_clause(graph, q.form, q.subject, q.predicate)
+    return graph
+
+
+def _add_clause(graph: dict[Literal, list[Literal]], form: str, s: int,
+                p: int) -> None:
+    inside = form == "A"
+    graph.setdefault((s, True), []).append((p, inside))
+    graph.setdefault((p, not inside), []).append((s, False))
+
+
+def _clash(graph: dict[Literal, list[Literal]], units: list[Literal]
+           ) -> Optional[int]:
+    """A set the units reach both in and out of, or None."""
+    seen = set(units)
+    todo = list(units)
+    while todo:
+        set_, inside = todo.pop()
+        if (set_, not inside) in seen:
+            return set_
+        for lit in graph.get((set_, inside), ()):
+            if lit not in seen:
+                seen.add(lit)
+                todo.append(lit)
+    return None
+
+
+def _some(s: Entity, p: Entity, inside: bool) -> tuple[str, list[Literal]]:
+    """The witness of "some s are p" (or "are not p"), with its label."""
+    return (f"some {s.label} are {'' if inside else 'not '}{p.label}",
+            [(s.id, True), (p.id, inside)])
+
+
+def _witnesses(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
+               existential_import: bool) -> Iterator[tuple[str, list[Literal]]]:
+    """(label, units) of every witness: each I and O, each element, and
+    with existential import each set the implications mention."""
+    for q in kb.propositions():
+        if _stated(q, "IO"):
+            yield _some(kb.by_id(q.subject), kb.by_id(q.predicate),
+                        q.form == "I")
+    for element, rows in itertools.groupby(kb.memberships(),
+                                           key=lambda m: m.element):
+        units = _units(rows)
+        if units:
+            yield kb.label(element), units
+    if existential_import:
+        for set_ in sorted({s for s, _ in graph}, key=kb.label):
+            yield f"some {kb.label(set_)}", [(set_, True)]
+
+
+def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
+            existential_import: bool = False) -> Optional[str]:
+    """Whether the KB's stored TRUE propositions and definite memberships
+    entail ``form(s, p)``: form is A/E/I/O over two sets, or "in"/"out"
+    for element ``s`` being in or not in set ``p``.
+
+    Returns None when they do not, else the clash that proves it, as
+    "<witness> reaches <set> and not <set>".  The denial of A, E, in and
+    out is one more witness, checked alone (an element's own memberships
+    first, so a KB that contradicts itself there says so); the denial of
+    I and O is one more clause, checked against every witness.  With
+    ``existential_import`` every set is nonempty: one witness {t} per set.
+    Nothing is cached or written: each call reads the KB afresh.
+    """
+    graph = _implications(kb)
+    if form in ("in", "out"):
+        units = _units(kb.memberships(s))
+        witnesses = [(s.label, units),
+                     (s.label, units + [(p.id, form == "out")])]
+    elif form in ("A", "E"):
+        witnesses = [_some(s, p, form == "E")]
+    else:
+        _add_clause(graph, "E" if form == "I" else "A", s.id, p.id)
+        witnesses = _witnesses(kb, graph, existential_import)
+    for label, units in witnesses:
+        set_ = _clash(graph, units)
+        if set_ is not None:
+            return f"{label} reaches {kb.label(set_)} and not {kb.label(set_)}"
+    return None

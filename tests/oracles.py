@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately do not share code with the package: syllogism validity
-is checked over bitmask models, existence degree by explicit enumeration
+is checked over bitmask models, categorical entailment by enumerating
+every model over Boolean types, existence degree by explicit enumeration
 of all chains, and abduction by a naive scan of every (set, property)
 pair.  They stay independent of the evaluators they check.
 """
@@ -61,6 +62,93 @@ def oracle_mood_names(existential_import: bool, max_universe: int = 4) -> set[st
             if oracle_countermodel(figure, forms, existential_import,
                                    max_universe) is None:
                 out.add(f"{''.join(forms)}-{figure}")
+    return out
+
+
+# -- categorical entailment over Boolean types ----------------------------
+
+def oracle_entailment(terms: list[str], individuals: list[str],
+                      statements: list[tuple[str, str, str]],
+                      questions: list[tuple[str, str, str]],
+                      existential_import: bool = False):
+    """What every model of ``statements`` says about each question.
+
+    A statement is ``(form, s, p)`` with form A/E/I/O over two terms, or
+    ``("in", x, s)`` / ``("out", x, s)`` for individual x in / not in term
+    s.  A question is ``("is", x, s)``, ``("all", s, p)`` or
+    ``("any", s, p)``.  Returns ``None`` when the statements have no model,
+    else a dict question -> "yes" / "no" (the same in every model) or
+    "open".
+
+    A model is which *types* are inhabited, a type being a Boolean vector
+    over the terms (bit i: in terms[i]), plus one type per individual,
+    which is then inhabited too.  A/E/I/O only ask whether some inhabited
+    type has a pair of bits, so for this fragment these models are exact:
+    no bound on anonymous elements is needed.  With ``existential_import``
+    every term has an inhabited type.
+    """
+    n = len(terms)
+    bit = {t: 1 << i for i, t in enumerate(terms)}
+    types = range(1 << n)
+
+    def kinds(s, p, s_in, p_in):
+        """Bitmask over types: those with s-bit s_in and p-bit p_in."""
+        mask = 0
+        for ty in types:
+            if bool(ty & bit[s]) == s_in and bool(ty & bit[p]) == p_in:
+                mask |= 1 << ty
+        return mask
+
+    def holds(form, s, p, domain):
+        if form == "A":
+            return not domain & kinds(s, p, True, False)
+        if form == "E":
+            return not domain & kinds(s, p, True, True)
+        if form == "I":
+            return bool(domain & kinds(s, p, True, True))
+        return bool(domain & kinds(s, p, True, False))  # O
+
+    def domain_ok(domain):
+        if existential_import and any(
+                not any(domain >> ty & 1 and ty & bit[t] for ty in types)
+                for t in terms):
+            return False
+        return all(holds(form, s, p, domain)
+                   for form, s, p in statements if form in "AEIO")
+
+    def typing_ok(typing):
+        return all((typing[x] & bit[s] != 0) == (form == "in")
+                   for form, x, s in statements if form in ("in", "out"))
+
+    domains = [d for d in range(1 << (1 << n)) if domain_ok(d)]
+    # a model is a domain and a typing whose types it inhabits; categorical
+    # questions read only the domain, is-a questions only the typing, so
+    # collect the domains and the typings that occur in some model
+    model_domains, model_typings = set(), []
+    for combo in itertools.product(types, repeat=len(individuals)):
+        typing = dict(zip(individuals, combo))
+        if not typing_ok(typing):
+            continue
+        need = 0
+        for ty in combo:
+            need |= 1 << ty
+        fits = [d for d in domains if d & need == need]
+        if fits:
+            model_domains.update(fits)
+            model_typings.append(typing)
+    if not model_typings:
+        return None
+
+    out = {}
+    for question in questions:
+        kind, a, b = question
+        if kind == "is":
+            seen = {typing[a] & bit[b] != 0 for typing in model_typings}
+        else:
+            form = "A" if kind == "all" else "I"
+            seen = {holds(form, a, b, d) for d in model_domains}
+        out[question] = ("open" if len(seen) == 2 else
+                         "yes" if seen == {True} else "no")
     return out
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from exigraph.abduction import (DefeasibleRule, MembershipProposal,
                                 SetProposal, TooFewElementsError,
-                                abduce_membership, apply_rules, generalize)
+                                abduce_membership, apply_rules, candidate,
+                                generalize, rule_edges)
 from exigraph.kb import Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 
@@ -72,6 +73,19 @@ def test_matches_naive_enumerator_on_random_kbs(layout, x_label):
     x = kb.upsert_entity(x_label)
     got = [(h.proposition.set_.label, h.score) for h in abduce_membership(x, kb)]
     assert got == oracle_abduce(kb, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kb_strategy, st.lists(names, max_size=4), names)
+def test_candidate_is_the_first_elements_hypothesis(layout, xs, set_label):
+    memberships, edges = layout
+    kb = KnowledgeBase()
+    build(kb, memberships=memberships, edges=edges)
+    elements = [kb.upsert_entity(x) for x in xs]
+    set_ = kb.upsert_entity(set_label)
+    want = next((h for x in elements for h in abduce_membership(x, kb)
+                 if h.proposition.set_ == set_), None)
+    assert candidate(elements, set_, kb) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,6 +163,20 @@ def test_rules_chain_to_fixpoint():
     rules = [DefeasibleRule("flew to", "was at"),
              DefeasibleRule("was at", "saw")]
     assert apply_rules(rules, kb) == 2
+
+
+def test_rule_edges_draw_what_apply_rules_stores_and_store_nothing():
+    kb = KnowledgeBase()
+    build(kb, edges=[("a", "flew to", "b")])
+    rules = [DefeasibleRule("flew to", "was at"),
+             DefeasibleRule("was at", "saw")]
+    revision = kb.revision
+    drawn = {(e.name, e.from_, e.to) for e in rule_edges(rules, kb)}
+    assert kb.revision == revision
+    apply_rules(rules, kb)
+    assert drawn == {(e.name, e.from_, e.to) for e in kb.edges()
+                     if e.provenance.kind is Kind.ABDUCED}
+    assert len(drawn) == 2
 
 
 # -- generalize -----------------------------------------------------------

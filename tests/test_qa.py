@@ -84,7 +84,7 @@ def test_proven_answers_carry_no_abduced_steps():
     s.assert_line("All astronauts are people.")
     s.assert_line("Gagarin is an astronaut.")
     s.assert_line("Gagarin flew to the Moon.")
-    s.ask_line("Did people fly to the Moon?")  # leaves abduced edges behind
+    s.ask_line("Did people fly to the Moon?")  # rules conclude abduced edges
     ans = s.ask_line("Is Gagarin a person?")
     assert ans.modality == qa.PROVEN
     assert all(step.provenance in ("asserted", "deduced") for step in ans.trace)
@@ -104,7 +104,7 @@ HYP_GREEK = "  1. [hypothesis] hypothesis: socrates may be in greek"
 ABDUCED_MOON = "  1. [abduced] edge: armstrong was at moon (conjectured)"
 
 # (input line, output lines); each question is labelled with the stage
-# that settles it: lookup, closure, conjecture (after rules) or unknown
+# that settles it: lookup, entailment, conjecture (after rules) or unknown
 STAGE_MATRIX = [
     (":trace on", ["ok"]),
     ("lexicon: fly to = flew to.", ["ok #0"]),
@@ -116,15 +116,15 @@ STAGE_MATRIX = [
     ("Socrates saw the sea.", ["ok #2"]),
     ("All men are mortal.", ["ok #3"]),
     ("All mortal are animal.", ["ok #4"]),
-    # did, unknown: closure cannot settle it, but its deduction counts
+    # did, unknown: a question writes nothing, so the revision stays
     ("Did the sea see Socrates?", ["unknown"]),
-    ("Plato is a man.", ["ok #6"]),
-    ("Plato is a greek.", ["ok #7"]),
-    ("Plato saw the sea.", ["ok #8"]),
-    ("Armstrong is an astronaut.", ["ok #9"]),
-    ("Armstrong flew to the Moon.", ["ok #10"]),
-    ("No fish are animal.", ["ok #11"]),
-    # is-a: lookup, lookup through a stored proposition, closure,
+    ("Plato is a man.", ["ok #5"]),
+    ("Plato is a greek.", ["ok #6"]),
+    ("Plato saw the sea.", ["ok #7"]),
+    ("Armstrong is an astronaut.", ["ok #8"]),
+    ("Armstrong flew to the Moon.", ["ok #9"]),
+    ("No fish are animal.", ["ok #10"]),
+    # is-a: lookup, lookup through a stored proposition, entailment,
     # conjecture, unknown, unknown entity
     ("Is Socrates a man?", [
         "yes (proven)",
@@ -140,13 +140,14 @@ STAGE_MATRIX = [
     ("Is Socrates a greek?", [
         "unknown (plausible)",
         HYP_GREEK + " (shared properties: 2, members: 1)",
-        "  2. [abduced] evidence: #1, #6, #2, #8",
+        "  2. [abduced] evidence: #1, #5, #2, #7",
         "  suggested: yes"]),
     ("Is Socrates a sea?", ["unknown"]),
     ("Is Zeus a man?", ["unknown"]),
-    ("All animal are living.", ["ok #17"]),
-    # are-all / are-any: lookup, closure, lookup of a deduced contrary,
-    # conjecture, unknown, one entity twice, unknown entity
+    ("All animal are living.", ["ok #11"]),
+    # are-all / are-any: lookup, entailment of a universal and of a
+    # particular's denial, conjecture, unknown, one entity twice, unknown
+    # entity
     ("Are all men mortal?", [
         "yes (proven)",
         "  1. [asserted] proposition: all man are mortal = yes"]),
@@ -187,6 +188,25 @@ STAGE_MATRIX = [
         "  suggested: yes"]),
     ("Did Socrates see the Moon?", ["unknown"]),
     ("Did Zeus see the Moon?", ["unknown"]),
+    # entailment the mood table never drew: I/E conversion, a set that
+    # can have no members, an element as the witness of a particular
+    ("Some ka are kb.", ["ok #12"]),
+    ("Are any kb ka?", [
+        "yes (proven)",
+        "  1. [deduced] proposition: some kb are ka = yes"]),
+    ("No kb are kc.", ["ok #13"]),
+    ("All kc are kb.", ["ok #14"]),
+    ("Are all kc ka?", [
+        "yes (proven)",
+        "  1. [deduced] proposition: all kc are ka = yes"]),
+    ("Are any man mortal?", [
+        "yes (proven)",
+        "  1. [deduced] proposition: some man are mortal = yes"]),
+    # an inconsistent KB: zeno is a kc, and nothing can be a kc
+    ("Zeno is a kc.", ["ok #15"]),
+    ("Is Zeno a ka?", [
+        "unknown",
+        "  1. [deduced] witness: zeno reaches kb and not kb"]),
 ]
 
 
@@ -275,7 +295,7 @@ def test_failed_save_leaves_previous_file(moon_path, tmp_path, monkeypatch):
 
 def test_derived_content_not_serialized(moon_path, tmp_path):
     session = load_kb(moon_path)
-    session.ask_line(MOON_Q)  # closure + abduction populate the KB
+    session.ask_line(MOON_Q)  # rules conclude "was at" edges, not stored
     out = str(tmp_path / "after.kb")
     save_kb(session, out)
     text = open(out).read()
@@ -363,6 +383,22 @@ def test_repl_trigger_fires_aim():
               "User asked question.\n")
     _, out = run_repl(script)
     assert "aim: answer question" in out
+
+
+@pytest.mark.parametrize("entry, trigger, lines, aim", [
+    ("lexicon: fly to = flew to.", 'when * fly to * then "visit {object}"',
+     ["Armstrong fly to the moon.", "Armstrong flew to the moon."],
+     "aim: visit moon"),
+    ("lexicon: astronauts = astronaut.",
+     'when astronauts flew to * then "welcome {subject}"',
+     ["Astronauts flew to the moon.", "The astronaut flew to the moon."],
+     "aim: welcome astronaut"),
+])
+def test_trigger_pattern_reads_through_the_lexicon(entry, trigger, lines, aim):
+    script = "".join(f"{line}\n"
+                     for line in [entry, f"trigger: {trigger}.", *lines])
+    _, out = run_repl(script)
+    assert out.splitlines()[2:] == ["ok #1", aim, "ok #2", aim]
 
 
 _NOUNS = ("man", "men", "mortal", "bird", "fish", "astronauts", "people",
