@@ -124,16 +124,18 @@ def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
     return None
 
 
-def rule_edges(rules: list[DefeasibleRule], kb: KnowledgeBase) -> list[Edge]:
-    """The edges the rules conclude, to a fixpoint, without storing them.
+def rule_edges(rules: list[DefeasibleRule], edges: list[Edge]) -> list[Edge]:
+    """The edges the rules conclude from ``edges``, to a fixpoint, without
+    storing them.
 
     Each rule fires over TRUE or abduced edges; a conclusion is UNKNOWN,
-    ABDUCED, names its rule and the stored edge its chain starts from, and
-    is drawn only where no edge is stored.  Conclusions have no item id.
+    ABDUCED, names its rule and the premise edge its chain starts from,
+    and is drawn only where no premise edge has its verb, subject and
+    object.  Conclusions have no item id.  A rule keeps an edge's subject
+    and object, so the premises may be cut to the pairs of interest.
     """
-    stored = kb.edges()
-    known = {(e.name, e.from_, e.to) for e in stored}
-    todo = [e for e in stored
+    known = {(e.name, e.from_, e.to) for e in edges}
+    todo = [e for e in edges
             if e.value is TRUE or e.provenance.kind is Kind.ABDUCED]
     out: list[Edge] = []
     while todo:
@@ -154,7 +156,7 @@ def rule_edges(rules: list[DefeasibleRule], kb: KnowledgeBase) -> list[Edge]:
 def apply_rules(rules: list[DefeasibleRule], kb: KnowledgeBase) -> int:
     """Store what :func:`rule_edges` concludes; asserted triples are left
     alone and a re-run adds nothing.  Returns the number of edges added."""
-    added = rule_edges(rules, kb)
+    added = rule_edges(rules, kb.edges())
     for edge in added:
         kb.assert_edge(edge.name, kb.by_id(edge.from_), kb.by_id(edge.to),
                        edge.value, edge.provenance)

@@ -14,18 +14,13 @@ Equal or higher precedence replaces.
 Memberships are keyed element -> set and edges source -> (name, target),
 so an entity's own rows are one lookup away; reads by set or target scan.
 Only this module reads them: others call ``memberships(e)``/``edges(e)``.
-
-The KB is single-writer / multi-reader: mutations are serialized behind a
-lock and bump a revision counter; :meth:`KnowledgeBase.snapshot` hands out
-an immutable deep copy for concurrent readers.
+Every mutation bumps a revision counter.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -127,11 +122,9 @@ class KnowledgeBase:
 
     def __init__(self):
         self._t = _Tables()
-        self._lock = threading.RLock()
         self._revision = 0
         self._next_entity = 1
         self._next_item = 1
-        self._frozen = False
         # the distinguished root; anchors existence_degree axiomatically
         self.root = self.upsert_entity(ROOT_LABEL)
         self._revision = 0  # root creation does not count as a user mutation
@@ -140,22 +133,7 @@ class KnowledgeBase:
     def revision(self) -> int:
         return self._revision
 
-    def snapshot(self) -> "KnowledgeBase":
-        """Immutable deep copy at the current revision."""
-        with self._lock:
-            dup = KnowledgeBase.__new__(KnowledgeBase)
-            dup._t = copy.deepcopy(self._t)
-            dup._lock = threading.RLock()
-            dup._revision = self._revision
-            dup._next_entity = self._next_entity
-            dup._next_item = self._next_item
-            dup._frozen = True
-            dup.root = dup._t.entities[self.root.id]
-        return dup
-
     def _bump(self):
-        if self._frozen:
-            raise KbError("snapshot is immutable")
         self._revision += 1
 
     def _new_id(self) -> str:
@@ -169,16 +147,13 @@ class KnowledgeBase:
         canon = canonical_label(label)
         if not canon:
             raise KbError("entity label is empty after canonicalization")
-        with self._lock:
-            if canon in self._t.by_label:
-                return self._t.entities[self._t.by_label[canon]]
-            if self._frozen:
-                raise KbError("snapshot is immutable")
-            ent = Entity(self._next_entity, canon)
-            self._next_entity += 1
-            self._t.entities[ent.id] = ent
-            self._t.by_label[canon] = ent.id
-            return ent
+        if canon in self._t.by_label:
+            return self._t.entities[self._t.by_label[canon]]
+        ent = Entity(self._next_entity, canon)
+        self._next_entity += 1
+        self._t.entities[ent.id] = ent
+        self._t.by_label[canon] = ent.id
+        return ent
 
     def entity(self, label: str) -> Optional[Entity]:
         return self._t.entities.get(self._t.by_label.get(canonical_label(label), -1))
@@ -199,28 +174,26 @@ class KnowledgeBase:
     def assert_membership(self, element: Entity, set_: Entity,
                           value: Value3, provenance: Provenance = ASSERTED) -> Optional[str]:
         """Record element-in-set; returns the item id, or None if overridden."""
-        with self._lock:
-            old = self.membership(element, set_)
-            if not self._admit(old.provenance if old else None, provenance):
-                return None
-            self._bump()
-            item = Membership(self._new_id(), element.id, set_.id, value, provenance)
-            self._t.memberships.setdefault(element.id, {})[set_.id] = item
-            return item.id
+        old = self.membership(element, set_)
+        if not self._admit(old.provenance if old else None, provenance):
+            return None
+        self._bump()
+        item = Membership(self._new_id(), element.id, set_.id, value, provenance)
+        self._t.memberships.setdefault(element.id, {})[set_.id] = item
+        return item.id
 
     def assert_edge(self, name: str, from_: Entity, to: Entity,
                     value: Value3, provenance: Provenance = ASSERTED) -> Optional[str]:
         name = canonical_label(name)
         if not name:
             raise KbError("relation name is empty")
-        with self._lock:
-            old = self._t.edges.get(from_.id, {}).get((name, to.id))
-            if not self._admit(old.provenance if old else None, provenance):
-                return None
-            self._bump()
-            item = Edge(self._new_id(), name, from_.id, to.id, value, provenance)
-            self._t.edges.setdefault(from_.id, {})[(name, to.id)] = item
-            return item.id
+        old = self._t.edges.get(from_.id, {}).get((name, to.id))
+        if not self._admit(old.provenance if old else None, provenance):
+            return None
+        self._bump()
+        item = Edge(self._new_id(), name, from_.id, to.id, value, provenance)
+        self._t.edges.setdefault(from_.id, {})[(name, to.id)] = item
+        return item.id
 
     def assert_proposition(self, form: str, subject: Entity, predicate: Entity,
                            value: Value3, provenance: Provenance = ASSERTED) -> Optional[str]:
@@ -228,27 +201,25 @@ class KnowledgeBase:
             raise KbError(f"unknown proposition form {form!r}")
         if subject.id == predicate.id:
             raise KbError("trivial self-proposition rejected")
-        with self._lock:
-            key = (form, subject.id, predicate.id)
-            old = self._t.propositions.get(key)
-            if not self._admit(old.provenance if old else None, provenance):
-                return None
-            self._bump()
-            item = Proposition(self._new_id(), form, subject.id, predicate.id,
-                               value, provenance)
-            self._t.propositions[key] = item
-            return item.id
+        key = (form, subject.id, predicate.id)
+        old = self._t.propositions.get(key)
+        if not self._admit(old.provenance if old else None, provenance):
+            return None
+        self._bump()
+        item = Proposition(self._new_id(), form, subject.id, predicate.id,
+                           value, provenance)
+        self._t.propositions[key] = item
+        return item.id
 
     def retract(self, item_id: str) -> bool:
         """Remove a membership/edge/proposition by id."""
-        with self._lock:
-            for table in (*self._t.memberships.values(), *self._t.edges.values(),
-                          self._t.propositions):
-                for key, item in table.items():
-                    if item.id == item_id:
-                        self._bump()
-                        del table[key]
-                        return True
+        for table in (*self._t.memberships.values(), *self._t.edges.values(),
+                      self._t.propositions):
+            for key, item in table.items():
+                if item.id == item_id:
+                    self._bump()
+                    del table[key]
+                    return True
         return False
 
     def prune_unsupported(self) -> int:
@@ -259,18 +230,17 @@ class KnowledgeBase:
         that always resolves.  Runs to a fixpoint; returns items removed.
         """
         removed = 0
-        with self._lock:
-            while True:
-                ids = {item.id for item in self.items()}
-                doomed = [item.id for item in self.items()
-                          if item.provenance.kind is not Kind.ASSERTED
-                          and any(s.startswith("#") and s not in ids
-                                  for s in item.provenance.sources)]
-                if not doomed:
-                    return removed
-                for item_id in doomed:
-                    self.retract(item_id)
-                    removed += 1
+        while True:
+            ids = {item.id for item in self.items()}
+            doomed = [item.id for item in self.items()
+                      if item.provenance.kind is not Kind.ASSERTED
+                      and any(s.startswith("#") and s not in ids
+                              for s in item.provenance.sources)]
+            if not doomed:
+                return removed
+            for item_id in doomed:
+                self.retract(item_id)
+                removed += 1
 
     # -- reads ------------------------------------------------------------
 

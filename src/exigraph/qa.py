@@ -385,8 +385,9 @@ def _edge_conjecture(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity,
                      ) -> Optional[Answer]:
     """Look for an actor linked to the asked subject, through stored edges
     and the edges the rules would conclude."""
-    edges = [e for e in kb.edges() + rule_edges(rules, kb)
-             if e.name == q.verb and e.to == o.id and e.value is not FALSE]
+    into = [e for e in kb.edges() if e.to == o.id]
+    edges = [e for e in into + rule_edges(rules, into)
+             if e.name == q.verb and e.value is not FALSE]
     for edge in sorted(edges, key=lambda e: kb.label(e.from_)):
         actor = kb.by_id(edge.from_)
         link = _subject_link(kb, actor, s)

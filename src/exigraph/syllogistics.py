@@ -11,6 +11,13 @@ Without existential import 15 moods survive; allowing the import assumption
 term whose nonemptiness it needs.  The table drives :func:`closure`, which
 ``check`` and ``:closure`` run; questions are settled by :func:`entails`,
 a complete decision procedure for the same fragment.
+
+Moods are looked up by (figure, major form, minor form).  Closure is
+semi-naive (Bancilhon & Ramakrishnan 1986): after the first round it joins
+only pairs with a premise the previous round added, and it finds a
+premise's partners through an index of the stored propositions by term,
+position and form.  Its output is that of a naive pass over all pairs and
+all moods: the same propositions, ids and sources.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .kb import (Entity, Kind, KnowledgeBase, Membership, Proposition,
                  Provenance)
@@ -36,6 +43,11 @@ FIGURES = {
     3: (("M", "P"), ("M", "S")),
     4: (("P", "M"), ("M", "S")),
 }
+
+# per figure, where the major and the minor premise hold the middle term
+# (0 subject, 1 predicate); the major's other term is P, the minor's S
+_MIDDLE = {figure: (maj.index("M"), mnr.index("M"))
+           for figure, (maj, mnr) in FIGURES.items()}
 
 # universes up to this size already separate the valid moods; the tests
 # check the table against an independent enumeration up to four elements
@@ -139,32 +151,48 @@ def valid_moods(existential_import: bool = False) -> list[Mood]:
     return [m for m in table if not m.requires_import]
 
 
+@lru_cache(maxsize=None)
+def _moods_by_premises(existential_import: bool
+                       ) -> dict[tuple[int, str, str], tuple[Mood, ...]]:
+    """:func:`valid_moods` keyed by (figure, major form, minor form), each
+    entry in table order."""
+    out: dict[tuple[int, str, str], tuple[Mood, ...]] = {}
+    for mood in valid_moods(existential_import):
+        key = (mood.figure, *mood.forms[:2])
+        out[key] = out.get(key, ()) + (mood,)
+    return out
+
+
 def infer_syllogism(kb: KnowledgeBase, major: CategoricalProposition,
-                    minor: CategoricalProposition,
-                    mood: Mood) -> Optional[CategoricalProposition]:
+                    minor: CategoricalProposition, mood: Mood,
+                    inhabited: Optional[Collection[int]] = None
+                    ) -> Optional[CategoricalProposition]:
     """Apply one mood to a premise pair; None if the premises don't fit.
 
     Moods that require existential import only fire when the restricted
-    term has at least one known-TRUE member in the KB.
+    term has at least one known-TRUE member in the KB; ``inhabited``, when
+    given, holds the ids of those sets, so the KB is not read.
     """
-    if mood not in _mood_table():
+    if mood not in _moods_by_premises(True).get(
+            (mood.figure, *mood.forms[:2]), ()):
         raise InvalidMoodError(mood.name)
     if (major.form, minor.form) != mood.forms[:2]:
         return None
-    (maj_pair, min_pair) = FIGURES[mood.figure]
-    slots: dict[str, Entity] = {}
-    for (t1, t2), prop in ((maj_pair, major), (min_pair, minor)):
-        for term, ent in ((t1, prop.subject), (t2, prop.predicate)):
-            if term in slots and slots[term].id != ent.id:
-                return None
-            slots[term] = ent
-    if len({slots["S"].id, slots["M"].id, slots["P"].id}) != 3:
+    at, mid = _MIDDLE[mood.figure]
+    maj_terms = (major.subject, major.predicate)
+    min_terms = (minor.subject, minor.predicate)
+    m = maj_terms[at]
+    if min_terms[mid].id != m.id:
+        return None
+    s, p = min_terms[1 - mid], maj_terms[1 - at]
+    if s.id == p.id:
         return None
     if mood.requires_import:
-        restricted = slots[mood.import_term]
-        if not kb.members_true(restricted):
+        restricted = {"S": s, "M": m, "P": p}[mood.import_term]
+        if not (kb.members_true(restricted) if inhabited is None
+                else restricted.id in inhabited):
             return None
-    return CategoricalProposition(mood.forms[2], slots["S"], slots["P"])
+    return CategoricalProposition(mood.forms[2], s, p)
 
 
 def eval_proposition(kb: KnowledgeBase, p: CategoricalProposition) -> Value3:
@@ -201,31 +229,71 @@ def _fact_counterexample(kb: KnowledgeBase, p: CategoricalProposition) -> Option
 def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
     """Forward-chain all valid moods over stored TRUE propositions to a
     fixpoint; derived conclusions are stored with DEDUCED provenance.
-    Returns the number of propositions added."""
-    moods = valid_moods(existential_import)
+    Returns the number of propositions added.
+
+    Semi-naive: the first round joins every pair of stored TRUE
+    propositions, each later round only the pairs with a premise the round
+    before added.  An older pair was joined in an earlier round, and the
+    store only grows, so its conclusions are all stored already.  A major
+    premise finds its minors through an index by (term, position, form):
+    each figure has the two share the middle term, in known places.  Pairs
+    are visited in ``kb.propositions()`` order, major then minor, and each
+    pair tries its figure's moods in table order, so the same conclusions
+    fire, in the same order and from the same sources, as in a pass over
+    all pairs and all moods.
+    """
+    moods = _moods_by_premises(existential_import)
+    # per major form: (figure, major's middle slot, minor's middle slot,
+    # minor form, moods) of every figure and minor form some mood takes
+    joins = {form: [(figure, *_MIDDLE[figure], other, moods[key])
+                    for figure in sorted(FIGURES) for other in FORMS
+                    if (key := (figure, form, other)) in moods]
+             for form in FORMS}
+    inhabited = {m.set_ for m in kb.memberships() if m.value is TRUE} \
+        if existential_import else frozenset()
+    props: dict[str, CategoricalProposition] = {}
     added = 0
+    fresh: Optional[set[str]] = None  # ids the previous round added
     while True:
-        fired = 0
         stored = [s for s in kb.propositions() if s.value is TRUE]
-        props = {s.id: CategoricalProposition(s.form, kb.by_id(s.subject),
-                                              kb.by_id(s.predicate))
-                 for s in stored}
+        for s in stored:
+            if s.id not in props:
+                props[s.id] = CategoricalProposition(
+                    s.form, kb.by_id(s.subject), kb.by_id(s.predicate))
+        # (term id, 0 subject / 1 predicate, form) -> positions in stored,
+        # over every stored proposition and over the previous round's
+        every: dict[tuple[int, int, str], list[int]] = {}
+        delta: dict[tuple[int, int, str], list[int]] = {}
+        for i, s in enumerate(stored):
+            for key in ((s.subject, 0, s.form), (s.predicate, 1, s.form)):
+                every.setdefault(key, []).append(i)
+                if fresh is None or s.id in fresh:
+                    delta.setdefault(key, []).append(i)
+        fired: set[str] = set()
         for maj in stored:
-            for mnr in stored:
-                for mood in moods:
-                    concl = infer_syllogism(kb, props[maj.id], props[mnr.id], mood)
-                    if concl is None:
+            index = every if fresh is None or maj.id in fresh else delta
+            terms = (maj.subject, maj.predicate)
+            major = props[maj.id]
+            # (j, figure) is unique, so the moods are never compared
+            for j, _, fits in sorted(
+                    (j, figure, fits)
+                    for figure, at, mid, form, fits in joins[maj.form]
+                    for j in index.get((terms[at], mid, form), ())):
+                mnr = stored[j]
+                minor = props[mnr.id]
+                for mood in fits:
+                    concl = infer_syllogism(kb, major, minor, mood, inhabited)
+                    if concl is None or kb.proposition(
+                            concl.form, concl.subject,
+                            concl.predicate) is not None:
                         continue
-                    old = kb.proposition(concl.form, concl.subject, concl.predicate)
-                    if old is not None:
-                        continue
-                    prov = Provenance(Kind.DEDUCED, (maj.id, mnr.id))
-                    if kb.assert_proposition(concl.form, concl.subject,
-                                             concl.predicate, TRUE, prov):
-                        fired += 1
+                    fired.add(kb.assert_proposition(
+                        concl.form, concl.subject, concl.predicate, TRUE,
+                        Provenance(Kind.DEDUCED, (maj.id, mnr.id))))
         if not fired:
             return added
-        added += fired
+        added += len(fired)
+        fresh = fired
 
 
 def contradictions(kb: KnowledgeBase) -> list[str]:

@@ -1,16 +1,20 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately do not share code with the package: syllogism validity
-is checked over bitmask models, categorical entailment by enumerating
-every model over Boolean types, existence degree by explicit enumeration
-of all chains, and abduction by a naive scan of every (set, property)
-pair.  They stay independent of the evaluators they check.
+is checked over bitmask models, syllogistic closure by naive all-pairs,
+all-moods forward chaining with moods from those models, categorical
+entailment by enumerating every model over Boolean types, existence
+degree by explicit enumeration of all chains, and abduction by a naive
+scan of every (set, property) pair.  They stay independent of the
+evaluators they check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
+from exigraph.kb import Kind, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN, Value3, all3
 
 # -- syllogism validity over bitmask models -------------------------------
@@ -35,16 +39,21 @@ def _form_holds(form: str, s: int, p: int) -> bool:
 
 def oracle_countermodel(figure: int, forms: tuple[str, str, str],
                         existential_import: bool,
-                        max_universe: int = 4):
-    """Smallest countermodel (n, s, m, p) as bitmasks, or None if valid."""
+                        max_universe: int = 4, nonempty: str = ""):
+    """Smallest countermodel (n, s, m, p) as bitmasks, or None if valid.
+
+    With ``existential_import`` every term is nonempty; ``nonempty`` names
+    the terms (of "SMP") that must be nonempty otherwise."""
+    if existential_import:
+        nonempty = "SMP"
     for n in range(max_universe + 1):
         size = 1 << n
         for s in range(size):
             for m in range(size):
                 for p in range(size):
-                    if existential_import and 0 in (s, m, p):
-                        continue
                     terms = {"S": s, "M": m, "P": p}
+                    if any(terms[t] == 0 for t in nonempty):
+                        continue
                     (a1, a2), (b1, b2) = _FIGURE_TERMS[figure]
                     if not _form_holds(forms[0], terms[a1], terms[a2]):
                         continue
@@ -63,6 +72,64 @@ def oracle_mood_names(existential_import: bool, max_universe: int = 4) -> set[st
                                    max_universe) is None:
                 out.add(f"{''.join(forms)}-{figure}")
     return out
+
+
+# -- syllogistic closure by naive forward chaining ------------------------
+
+@functools.lru_cache(maxsize=None)
+def _oracle_moods(existential_import: bool):
+    """(figure, forms, term whose nonemptiness it needs or None) of each
+    valid mood, figure by figure, forms in A/E/I/O product order."""
+    out = []
+    for figure in (1, 2, 3, 4):
+        for forms in itertools.product("AEIO", repeat=3):
+            if oracle_countermodel(figure, forms, False) is None:
+                out.append((figure, forms, None))
+            elif existential_import \
+                    and oracle_countermodel(figure, forms, True) is None:
+                term = next(t for t in "SMP" if oracle_countermodel(
+                    figure, forms, False, nonempty=t) is None)
+                out.append((figure, forms, term))
+    return out
+
+
+def oracle_closure(kb, existential_import: bool = False) -> int:
+    """Close ``kb`` the naive way: every round joins every ordered pair of
+    stored TRUE propositions (in ``kb.propositions()`` order) under every
+    valid mood (in table order), storing each conclusion not yet stored
+    as DEDUCED from (major id, minor id).  A mood that needs a term
+    nonempty fires only when that term has a known TRUE member.  Returns
+    the number of propositions added."""
+    moods = _oracle_moods(existential_import)
+    added = 0
+    while True:
+        fired = 0
+        stored = [q for q in kb.propositions() if q.value is TRUE]
+        for major in stored:
+            for minor in stored:
+                for figure, forms, term in moods:
+                    if (major.form, minor.form) != forms[:2]:
+                        continue
+                    slots = {}
+                    (a1, a2), (b1, b2) = _FIGURE_TERMS[figure]
+                    fits = all(slots.setdefault(t, e) == e for t, e in (
+                        (a1, major.subject), (a2, major.predicate),
+                        (b1, minor.subject), (b2, minor.predicate)))
+                    if not fits or len(set(slots.values())) != 3:
+                        continue
+                    if term and not any(m.set_ == slots[term] and m.value is TRUE
+                                        for m in kb.memberships()):
+                        continue
+                    s, p = kb.by_id(slots["S"]), kb.by_id(slots["P"])
+                    if kb.proposition(forms[2], s, p) is not None:
+                        continue
+                    kb.assert_proposition(
+                        forms[2], s, p, TRUE,
+                        Provenance(Kind.DEDUCED, (major.id, minor.id)))
+                    fired += 1
+        if not fired:
+            return added
+        added += fired
 
 
 # -- categorical entailment over Boolean types ----------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from exigraph.abduction import (DefeasibleRule, MembershipProposal,
                                 SetProposal, TooFewElementsError,
                                 abduce_membership, apply_rules, candidate,
                                 generalize, rule_edges)
-from exigraph.kb import Kind, KnowledgeBase, Provenance
+from exigraph.kb import ConflictError, Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 
 from oracles import oracle_abduce
@@ -171,12 +172,36 @@ def test_rule_edges_draw_what_apply_rules_stores_and_store_nothing():
     rules = [DefeasibleRule("flew to", "was at"),
              DefeasibleRule("was at", "saw")]
     revision = kb.revision
-    drawn = {(e.name, e.from_, e.to) for e in rule_edges(rules, kb)}
+    drawn = {(e.name, e.from_, e.to) for e in rule_edges(rules, kb.edges())}
     assert kb.revision == revision
     apply_rules(rules, kb)
     assert drawn == {(e.name, e.from_, e.to) for e in kb.edges()
                      if e.provenance.kind is Kind.ABDUCED}
     assert len(drawn) == 2
+
+
+_rule = st.tuples(verbs, verbs).filter(lambda r: r[0] != r[1])
+_edge = st.tuples(names, verbs, names, st.sampled_from((TRUE, FALSE, UNKNOWN)),
+                  st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_edge, max_size=10), st.lists(_rule, max_size=4), names)
+def test_rule_edges_over_the_edges_into_an_object(edges, rules, obj):
+    # a rule keeps (subject, object): drawing over the edges into one
+    # object gives exactly the into-object part of drawing over them all
+    kb = KnowledgeBase()
+    for frm, verb, to, value, abduced in edges:
+        prov = Provenance(Kind.ABDUCED, ("hypothesis",)) if abduced \
+            else Provenance(Kind.ASSERTED)
+        with contextlib.suppress(ConflictError):
+            kb.assert_edge(verb, kb.upsert_entity(frm), kb.upsert_entity(to),
+                           value, prov)
+    rules = [DefeasibleRule(*rule) for rule in rules]
+    target = kb.upsert_entity(obj).id
+    everything = rule_edges(rules, kb.edges())
+    into = rule_edges(rules, [e for e in kb.edges() if e.to == target])
+    assert into == [e for e in everything if e.to == target]
 
 
 # -- generalize -----------------------------------------------------------

@@ -231,7 +231,7 @@ def test_meta_sets_matches_brute_scan(kb):
     assert [e.label for e in kb.meta_sets()] == brute
 
 
-# -- provenance audit and snapshots ---------------------------------------
+# -- provenance audit -----------------------------------------------------
 
 def test_sources_resolve_and_prune_removes_dependents(kb):
     a, b, c = (kb.upsert_entity(x) for x in "abc")
@@ -251,16 +251,6 @@ def test_prune_cascades(kb):
     kb.assert_membership(a, d, TRUE, Provenance(Kind.DEDUCED, (mid,)))
     kb.retract(src)
     assert kb.prune_unsupported() == 2
-
-
-def test_snapshot_is_immutable(kb):
-    a, b = kb.upsert_entity("a"), kb.upsert_entity("b")
-    kb.assert_membership(a, b, TRUE)
-    snap = kb.snapshot()
-    with pytest.raises(KbError):
-        snap.assert_membership(a, b, FALSE)
-    kb.assert_membership(a, b, FALSE)
-    assert snap.exists(a, b) is TRUE
 
 
 # -- the table layout -----------------------------------------------------
@@ -306,11 +296,6 @@ def _reads_agree_with_items(kb):
                 assert kb.edge(verb, x, y) is (found[0] if found else None)
 
 
-def _view(kb):
-    return ([(i.id, i.value, i.provenance) for i in kb.items()],
-            [(kb.memberships(e), kb.edges(e)) for e in kb.entities()])
-
-
 def _model_prune(live):
     removed = 0
     while True:
@@ -326,16 +311,12 @@ def _model_prune(live):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_step, max_size=25), st.integers(0, 25))
-def test_tables_match_a_model_of_writes_and_retracts(steps, snap_at):
+@given(st.lists(_step, max_size=25))
+def test_tables_match_a_model_of_writes_and_retracts(steps):
     kb = KnowledgeBase()
     ents = {label: kb.upsert_entity(label) for label in _LABELS}
     live: dict[tuple, tuple[str, Provenance]] = {}  # key -> (id, provenance)
-    snap = frozen = None
-    for i, step in enumerate(steps):
-        if i == snap_at:
-            snap = kb.snapshot()
-            frozen = _view(snap)
+    for step in steps:
         if step[0] == "retract":
             item_id = f"#{step[1]}"
             key = next((k for k, (iid, _) in live.items() if iid == item_id),
@@ -363,6 +344,3 @@ def test_tables_match_a_model_of_writes_and_retracts(steps, snap_at):
         _reads_agree_with_items(kb)
         assert len(list(kb.items())) == len(live)
         assert {item.id for item in kb.items()} == {iid for iid, _ in live.values()}
-    if snap is not None:
-        assert _view(snap) == frozen
-        _reads_agree_with_items(snap)

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
-from exigraph.kb import ASSERTED, Kind, KnowledgeBase
+from exigraph import syllogistics
+from exigraph.kb import ASSERTED, Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 from exigraph.syllogistics import (CategoricalProposition, InvalidMoodError,
                                    Mood, closure, contradictions,
                                    eval_proposition, infer_syllogism,
                                    valid_moods)
 
-from oracles import oracle_countermodel, oracle_mood_names
+from oracles import oracle_closure, oracle_countermodel, oracle_mood_names
 
 
 def prop(kb, form, s, p):
@@ -176,6 +179,86 @@ def test_closure_monotone_under_added_fact():
     bigger = {(p.form, kb2.label(p.subject), kb2.label(p.predicate))
               for p in kb2.propositions()}
     assert base <= bigger
+
+
+def _random_kb(seed: int) -> KnowledgeBase:
+    """3-7 terms, up to 10 propositions of every value, some abduced, and
+    TRUE/FALSE memberships of two individuals."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    terms = [kb.upsert_entity(f"t{i}") for i in range(rng.randint(3, 7))]
+    keys = [(form, s, p) for form in "AEIO" for s in terms for p in terms
+            if s != p]
+    for form, s, p in rng.sample(keys, rng.randint(1, 10)):
+        prov = ASSERTED if rng.random() < 0.8 \
+            else Provenance(Kind.ABDUCED, ("hypothesis",))
+        kb.assert_proposition(form, s, p,
+                              rng.choice((TRUE, TRUE, TRUE, FALSE, UNKNOWN)),
+                              prov)
+    for x in (kb.upsert_entity("x"), kb.upsert_entity("y")):
+        for set_ in rng.sample(terms, rng.randint(0, 2)):
+            kb.assert_membership(x, set_, rng.choice((TRUE, FALSE)))
+    return kb
+
+
+@pytest.mark.parametrize("existential_import", [False, True])
+def test_closure_matches_the_naive_oracle(existential_import):
+    # the semi-naive, indexed closure stores exactly what a naive pass over
+    # all pairs and all moods stores: the same ids, values and sources
+    fired = 0
+    for seed in range(300):
+        kb, reference = _random_kb(seed), _random_kb(seed)
+        added = closure(kb, existential_import)
+        assert added == oracle_closure(reference, existential_import), seed
+        assert kb.revision == reference.revision, seed
+        assert list(kb.items()) == list(reference.items()), seed
+        fired += added > 0
+    assert fired > 100  # the survey exercises the closure, not only no-ops
+
+
+def _branched_chain(kb: KnowledgeBase, links: int) -> None:
+    """An A chain a0 -> ... -> a<links>, with "no a<links> are e",
+    "some b are a0" and "some c are not a<links>" hanging off it."""
+    terms = [f"a{i}" for i in range(links + 1)]
+    for s, p in zip(terms, terms[1:]):
+        store(kb, "A", s, p)
+    store(kb, "E", terms[-1], "e")
+    store(kb, "I", "b", terms[0])
+    store(kb, "O", "c", terms[-1])
+
+
+def _branched_chain_closure(links: int) -> int:
+    # the chain's A(ai, aj) for i < j, less the links: n(n-1)/2; E(ai, e)
+    # and E(e, ai) for i < n: 2n; I(b, aj) and I(aj, b) for j > 0: 2n;
+    # O(c, ai) for i < n: n; and O(b, e)
+    n = links
+    return n * (n - 1) // 2 + 5 * n + 1
+
+
+@pytest.mark.parametrize("links", [1, 2, 3, 5])
+def test_branched_chain_count_matches_the_oracle(links):
+    kb = KnowledgeBase()
+    _branched_chain(kb, links)
+    assert oracle_closure(kb) == _branched_chain_closure(links)
+
+
+def test_forty_link_chain_closes_with_few_mood_attempts(monkeypatch):
+    calls = 0
+    infer = syllogistics.infer_syllogism
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return infer(*args)
+
+    monkeypatch.setattr(syllogistics, "infer_syllogism", counted)
+    kb = KnowledgeBase()
+    _branched_chain(kb, 40)
+    assert closure(kb) == _branched_chain_closure(40) == 981
+    # measured: 18,040 attempts, one per premise pair that shares its
+    # figure's middle term under a mood of its forms; a naive pass over
+    # every pair and mood in each of the 7 rounds makes 36.6 million
+    assert calls <= 20_000
 
 
 def test_deduced_propositions_have_no_countermodel():
