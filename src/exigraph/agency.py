@@ -1,7 +1,7 @@
 """Perception-triggered aims and their classification.
 
-A trigger pattern watches newly perceived items (SPO edges or memberships)
-and, on a match, instantiates its reaction template into an Aim.  Aims are
+A trigger pattern watches newly perceived SPO edges and, on a match,
+instantiates its reaction template into an Aim.  Aims are
 classified Task / Goal / Dream from two three-valued inputs: whether the
 actions are clear and whether resources are available.  Any UNKNOWN input
 leaves the aim Undetermined rather than forcing a classification.
@@ -54,45 +54,32 @@ class Aim:
 
 @dataclass(frozen=True)
 class Observation:
-    """A newly recorded item, as label text: an SPO edge or a membership."""
+    """A newly recorded SPO edge, as label text."""
 
-    kind: str  # "edge" | "membership"
-    slots: tuple[str, str, str]  # (subject, verb, object) or (element, "in", set)
+    slots: tuple[str, str, str]  # (subject, verb, object)
 
     @classmethod
     def edge(cls, subject: str, verb: str, obj: str) -> "Observation":
-        return cls("edge", (subject, verb, obj))
-
-    @classmethod
-    def membership(cls, element: str, set_: str) -> "Observation":
-        return cls("membership", (element, "in", set_))
+        return cls((subject, verb, obj))
 
 
 @dataclass(frozen=True)
 class Trigger:
     id: int
-    kind: str  # "edge" | "membership"
     pattern: tuple[str, str, str]  # slots; "*" is a wildcard
-    reaction: str  # template with {subject} {verb} {object} / {element} {set}
+    reaction: str  # template with {subject} {verb} {object}
 
     def __post_init__(self):
         if all(s == WILDCARD for s in self.pattern):
             raise ValueError("trigger pattern needs at least one concrete slot")
 
     def matches(self, obs: Observation) -> bool:
-        if obs.kind != self.kind:
-            return False
         return all(p == WILDCARD or p == s
                    for p, s in zip(self.pattern, obs.slots))
 
     def instantiate(self, obs: Observation) -> Aim:
-        if self.kind == "edge":
-            slots = {"subject": obs.slots[0], "verb": obs.slots[1],
-                     "object": obs.slots[2]}
-        else:
-            slots = {"element": obs.slots[0], "set": obs.slots[2]}
         text = self.reaction
-        for name, value in slots.items():
+        for name, value in zip(("subject", "verb", "object"), obs.slots):
             text = text.replace("{" + name + "}", value)
         return Aim(text)
 

@@ -211,37 +211,6 @@ class KnowledgeBase:
         self._t.propositions[key] = item
         return item.id
 
-    def retract(self, item_id: str) -> bool:
-        """Remove a membership/edge/proposition by id."""
-        for table in (*self._t.memberships.values(), *self._t.edges.values(),
-                      self._t.propositions):
-            for key, item in table.items():
-                if item.id == item_id:
-                    self._bump()
-                    del table[key]
-                    return True
-        return False
-
-    def prune_unsupported(self) -> int:
-        """Drop deduced/abduced items whose sources no longer resolve.
-
-        Source ids starting with ``#`` refer to KB items; anything else
-        (rule names, statement text) is treated as an external reference
-        that always resolves.  Runs to a fixpoint; returns items removed.
-        """
-        removed = 0
-        while True:
-            ids = {item.id for item in self.items()}
-            doomed = [item.id for item in self.items()
-                      if item.provenance.kind is not Kind.ASSERTED
-                      and any(s.startswith("#") and s not in ids
-                              for s in item.provenance.sources)]
-            if not doomed:
-                return removed
-            for item_id in doomed:
-                self.retract(item_id)
-                removed += 1
-
     # -- reads ------------------------------------------------------------
 
     def items(self) -> Iterator[Membership | Edge | Proposition]:

@@ -1,27 +1,25 @@
 """Question answering: staged evaluation over a session.
 
-Stage 1 answers from direct lookups (membership, stored propositions,
-relation edges); a definite result is Proven.  Stage 2 asks
-:func:`~exigraph.syllogistics.entails` whether every model of the stored
-propositions and memberships settles the question; if so the answer is
-Proven, and if both verdicts are entailed the KB contradicts itself and
-the answer is UNKNOWN, naming the witness that clashes.  Stage 3 applies
-the defeasible rules and abduces memberships; any support found this way
-leaves the verdict UNKNOWN but marks the answer Plausible, with the
-suggested answer and the full evidence trail in the trace.  A definite
-verdict is therefore never backed by an abduced step: the engine does not
-decide where it could decide wrongly, and a human reading the trace
-upgrades plausibility to belief.  :func:`answer` is the one place where
-this stage order lives; each question kind supplies its lookup, its
-entailment check and its conjecture.  No stage writes to the KB: a
+Stage 1 reads only the asked item: the stored membership of an is-a
+question, or the stored edge of a did/have question (its own, or that of a
+known member of the asked subject); a definite result is Proven.  Stage 2
+asks :func:`~exigraph.syllogistics.entails` whether every model of the
+stored propositions and memberships settles the question, and every other
+definite verdict comes from here: if one verdict is entailed the answer is
+Proven, and if both are the KB contradicts itself and the answer is
+UNKNOWN, naming the witness that clashes.  Stage 3 applies the defeasible
+rules and abduces memberships; any support found this way leaves the
+verdict UNKNOWN but marks the answer Plausible, with the suggested answer
+and the full evidence trail in the trace.  A definite verdict is therefore
+never backed by an abduced step: the engine does not decide where it could
+decide wrongly, and a human reading the trace upgrades plausibility to
+belief.  :func:`answer` is the one place where this stage order lives;
+each question kind lists its stages.  No stage writes to the KB: a
 question leaves the KB and its revision as they were.
 
-Singular statements live in the KB as memberships; the lookup promotes
-them to propositions over singleton sets when a stored proposition about
-one of the element's sets answers the question.  Multi-word noun phrases
-are linked to their head noun ("american astronauts" are astronauts) with
-DEDUCED provenance when asserted, which is what lets set-level evidence
-answer questions about broader sets.
+Multi-word noun phrases are linked to their head noun ("american
+astronauts" are astronauts) with DEDUCED provenance when asserted, which
+is what lets set-level evidence answer questions about broader sets.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .agency import Observation, Trigger, fire_triggers
 from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
                  canonical_label)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
-from .syllogistics import CategoricalProposition, entails, eval_proposition
+from .syllogistics import entails
 
 PROVEN = "proven"
 PLAUSIBLE = "plausible"
@@ -105,7 +103,7 @@ class Session:
             if rule not in self.rules:
                 self.rules.append(rule)
         elif isinstance(ast, lang.TriggerStmt):
-            self.triggers.append(Trigger(len(self.triggers) + 1, "edge",
+            self.triggers.append(Trigger(len(self.triggers) + 1,
                                          (ast.subject, ast.verb, ast.obj),
                                          ast.reaction))
         elif isinstance(ast, lang.MembershipStmt):
@@ -113,8 +111,6 @@ class Session:
             set_ = self.kb.upsert_entity(ast.set_)
             item = self.kb.assert_membership(elem, set_, TRUE, ASSERTED)
             self._head_link(set_, item)
-            aims = fire_triggers(Observation.membership(elem.label, set_.label),
-                                 self.triggers)
         elif isinstance(ast, lang.CategoricalStmt):
             # checked before any upsert, so a rejected line adds no entity
             if canonical_label(ast.subject) == canonical_label(ast.predicate):
@@ -155,40 +151,36 @@ class Session:
 
 
 def answer(q: lang.QuestionAst, session: Session) -> Answer:
-    """Answer one question: lookup, entailment, then rules and conjecture.
+    """Answer one question by the first of its kind's stages that settles it.
 
-    An unknown entity answers UNKNOWN at once.  Did/have questions have no
-    entailment stage: edges are not categorical.  Nothing is written to
-    the KB, so a question never moves the revision.
+    Is-a: lookup, entailment, conjecture.  Are-all/are-any: entailment,
+    conjecture.  Did/have: lookup, conjecture (edges are not categorical).
+    An unknown entity answers UNKNOWN at once.  Nothing is written to the
+    KB, so a question never moves the revision.
     """
-    kb = session.kb
     if isinstance(q, lang.IsAQ):
         labels = q.proper, q.set_
-        lookup, entailment, conjecture = (_membership_lookup,
-                                          _membership_entailment,
-                                          _membership_conjecture)
+        stages = (_membership_lookup, _membership_entailment,
+                  _membership_conjecture)
     elif isinstance(q, (lang.AreAllQ, lang.AreAnyQ)):
         # no categorical proposition relates a term to itself
         if canonical_label(q.subject) == canonical_label(q.predicate):
             return Answer(UNKNOWN, None)
         labels = q.subject, q.predicate
-        lookup, entailment, conjecture = (_categorical_lookup,
-                                          _categorical_entailment,
-                                          _categorical_conjecture)
+        stages = _categorical_entailment, _categorical_conjecture
     elif isinstance(q, lang.DidSpoQ):
         labels = q.subject, q.obj
-        lookup, entailment, conjecture = _edge_lookup, None, _edge_conjecture
+        stages = _edge_lookup, _edge_conjecture
     else:
         raise TypeError(f"not a question AST: {q!r}")
-    a, b = kb.entity(labels[0]), kb.entity(labels[1])
+    a, b = session.kb.entity(labels[0]), session.kb.entity(labels[1])
     if a is None or b is None:
         return Answer(UNKNOWN, None)
-    found = lookup(kb, q, a, b)
-    if found is None and entailment is not None:
-        found = entailment(kb, q, a, b, session.existential_import)
-    if found is None:
-        found = conjecture(kb, q, a, b, session.rules)
-    return found or Answer(UNKNOWN, None)
+    for stage in stages:
+        found = stage(session, q, a, b)
+        if found is not None:
+            return found
+    return Answer(UNKNOWN, None)
 
 
 def _proven(verdict: Value3, trace: list[TraceStep]) -> Answer:
@@ -202,7 +194,7 @@ def _plausible(trace: list[TraceStep], suggestion: Value3) -> Answer:
 def _proposition_kind(kb: KnowledgeBase, form: str, s: Entity, p: Entity
                       ) -> Kind:
     """Provenance kind of the stored proposition; DEDUCED when none is
-    stored and the evaluation alone supports it."""
+    stored and only entailment supports it."""
     stored = kb.proposition(form, s, p)
     return stored.provenance.kind if stored else Kind.DEDUCED
 
@@ -215,54 +207,46 @@ def _contradiction(description: str) -> Answer:
 
 # -- is-a questions -------------------------------------------------------
 
-def _membership_lookup(kb: KnowledgeBase, q: lang.IsAQ, x: Entity, s: Entity
+def _membership_lookup(session: Session, q: lang.IsAQ, x: Entity, s: Entity
                        ) -> Optional[Answer]:
-    item = kb.membership(x, s)
-    if item is not None and item.value.is_definite():
-        step = TraceStep("membership", f"{x.label} in {s.label} "
-                         f"= {item.value}", item.provenance.kind.value)
-        if item.provenance.kind is Kind.ABDUCED:
-            return None
-        return _proven(item.value, [step])
-    # singleton promotion: x's known sets feed the categorical store
-    for mem in kb.memberships(x):
-        if mem.value is not TRUE or mem.set_ == s.id:
-            continue
-        t = kb.by_id(mem.set_)
-        for form, verdict in (("A", TRUE), ("E", FALSE)):
-            if eval_proposition(kb, CategoricalProposition(form, t, s)) is TRUE:
-                prov = _proposition_kind(kb, form, t, s)
-                if prov is Kind.ABDUCED:
-                    continue
-                word = "all" if form == "A" else "no"
-                return _proven(verdict, [
-                    TraceStep("membership", f"{x.label} in {t.label} = yes",
-                              mem.provenance.kind.value),
-                    TraceStep("proposition",
-                              f"{word} {t.label} are {s.label}",
-                              prov.value),
-                ])
-    return None
+    item = session.kb.membership(x, s)
+    if item is None or not item.value.is_definite() \
+            or item.provenance.kind is Kind.ABDUCED:
+        return None
+    return _proven(item.value, [TraceStep(
+        "membership", f"{x.label} in {s.label} = {item.value}",
+        item.provenance.kind.value)])
 
 
-def _membership_entailment(kb: KnowledgeBase, q: lang.IsAQ, x: Entity,
-                           s: Entity, existential_import: bool
-                           ) -> Optional[Answer]:
+def _membership_entailment(session: Session, q: lang.IsAQ, x: Entity,
+                           s: Entity) -> Optional[Answer]:
     """x's own memberships and the A/E implications settle it.  The trace
-    names the first of x's sets, TRUE ones first and each group in label
-    order, whose relation to ``s`` carries the verdict."""
+    names the first of x's sets whose relation to ``s`` carries the
+    verdict: TRUE ones first, those whose A (or E) to ``s`` is stored
+    before those where it is only entailed, then FALSE ones, each group in
+    label order."""
+    kb = session.kb
     yes, no = entails(kb, "in", x, s), entails(kb, "out", x, s)
     if yes and no:
         return _contradiction(yes)
     if not (yes or no):
         return None
     verdict = TRUE if yes else FALSE
-    for mem in sorted(kb.memberships(x), key=lambda m: m.value is not TRUE):
+    universal = "A" if yes else "E"
+
+    def cited_first(mem) -> int:
+        if mem.value is not TRUE:
+            return 2
+        stored = kb.proposition(universal, kb.by_id(mem.set_), s)
+        return 0 if stored is not None and stored.value is TRUE \
+            and stored.provenance.kind is not Kind.ABDUCED else 1
+
+    for mem in sorted(kb.memberships(x), key=cited_first):
         if mem.set_ == s.id or mem.provenance.kind is Kind.ABDUCED:
             continue
         t = kb.by_id(mem.set_)
         if mem.value is TRUE:  # all t are s, or no t are s
-            form, subject, predicate = ("A" if yes else "E"), t, s
+            form, subject, predicate = universal, t, s
         elif mem.value is FALSE and no:  # x is not a t, and all s are t
             form, subject, predicate = "A", s, t
         else:
@@ -281,9 +265,9 @@ def _membership_entailment(kb: KnowledgeBase, q: lang.IsAQ, x: Entity,
     return _proven(verdict, [TraceStep("witness", no, Kind.DEDUCED.value)])
 
 
-def _membership_conjecture(kb: KnowledgeBase, q: lang.IsAQ, x: Entity,
-                           s: Entity, rules: list[DefeasibleRule]
-                           ) -> Optional[Answer]:
+def _membership_conjecture(session: Session, q: lang.IsAQ, x: Entity,
+                           s: Entity) -> Optional[Answer]:
+    kb = session.kb
     hyp = candidate([x], s, kb)
     if hyp is not None:
         return _plausible([
@@ -303,26 +287,10 @@ def _membership_conjecture(kb: KnowledgeBase, q: lang.IsAQ, x: Entity,
 
 # -- categorical questions ------------------------------------------------
 
-def _categorical_lookup(kb: KnowledgeBase,
-                        q: Union[lang.AreAllQ, lang.AreAnyQ],
-                        s: Entity, p: Entity) -> Optional[Answer]:
-    form = "A" if isinstance(q, lang.AreAllQ) else "I"
-    verdict = eval_proposition(kb, CategoricalProposition(form, s, p))
-    if not verdict.is_definite():
-        return None
-    prov = _proposition_kind(kb, form, s, p)
-    if prov is Kind.ABDUCED:
-        return None
-    word = {"A": "all", "E": "no", "I": "some", "O": "some-not"}[form]
-    return _proven(verdict, [TraceStep(
-        "proposition", f"{word} {s.label} are {p.label} = {verdict}",
-        prov.value)])
-
-
-def _categorical_entailment(kb: KnowledgeBase,
+def _categorical_entailment(session: Session,
                             q: Union[lang.AreAllQ, lang.AreAnyQ],
-                            s: Entity, p: Entity, existential_import: bool
-                            ) -> Optional[Answer]:
+                            s: Entity, p: Entity) -> Optional[Answer]:
+    kb, existential_import = session.kb, session.existential_import
     form, contrary = ("A", "O") if isinstance(q, lang.AreAllQ) else ("I", "E")
     yes = entails(kb, form, s, p, existential_import)
     no = entails(kb, contrary, s, p, existential_import)
@@ -338,10 +306,10 @@ def _categorical_entailment(kb: KnowledgeBase,
         _proposition_kind(kb, form, s, p).value)])
 
 
-def _categorical_conjecture(kb: KnowledgeBase,
+def _categorical_conjecture(session: Session,
                             q: Union[lang.AreAllQ, lang.AreAnyQ],
-                            s: Entity, p: Entity,
-                            rules: list[DefeasibleRule]) -> Optional[Answer]:
+                            s: Entity, p: Entity) -> Optional[Answer]:
+    kb = session.kb
     hyp = candidate(kb.members_true(s), p, kb)
     if hyp is None:
         return None
@@ -352,9 +320,9 @@ def _categorical_conjecture(kb: KnowledgeBase,
 
 # -- spo questions --------------------------------------------------------
 
-def _edge_lookup(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity, o: Entity
+def _edge_lookup(session: Session, q: lang.DidSpoQ, s: Entity, o: Entity
                  ) -> Optional[Answer]:
-    verb = q.verb
+    kb, verb = session.kb, q.verb
     edge = kb.edge(verb, s, o)
     if edge is not None and edge.value.is_definite() \
             and edge.provenance.kind is not Kind.ABDUCED:
@@ -380,13 +348,13 @@ def _edge_lookup(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity, o: Entity
     return None
 
 
-def _edge_conjecture(kb: KnowledgeBase, q: lang.DidSpoQ, s: Entity,
-                     o: Entity, rules: list[DefeasibleRule]
-                     ) -> Optional[Answer]:
+def _edge_conjecture(session: Session, q: lang.DidSpoQ, s: Entity,
+                     o: Entity) -> Optional[Answer]:
     """Look for an actor linked to the asked subject, through stored edges
     and the edges the rules would conclude."""
+    kb = session.kb
     into = [e for e in kb.edges() if e.to == o.id]
-    edges = [e for e in into + rule_edges(rules, into)
+    edges = [e for e in into + rule_edges(session.rules, into)
              if e.name == q.verb and e.value is not FALSE]
     for edge in sorted(edges, key=lambda e: kb.label(e.from_)):
         actor = kb.by_id(edge.from_)

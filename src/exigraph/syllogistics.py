@@ -196,7 +196,9 @@ def infer_syllogism(kb: KnowledgeBase, major: CategoricalProposition,
 
 
 def eval_proposition(kb: KnowledgeBase, p: CategoricalProposition) -> Value3:
-    """Three-valued status of a categorical proposition against the KB.
+    """Three-valued status of a categorical proposition read off the stored
+    memberships and propositions, with no inference.  It serves ``check``
+    through :func:`contradictions`; questions are settled by :func:`entails`.
 
     A membership counterexample defeats a universal even when the
     proposition is also stored TRUE (the pair then shows up in
@@ -204,9 +206,10 @@ def eval_proposition(kb: KnowledgeBase, p: CategoricalProposition) -> Value3:
     membership witness settles a particular.
     """
     subj, pred = p.subject, p.predicate
-    counter = _fact_counterexample(kb, p)
-    if counter is not None:
-        return counter
+    # A and O look for a known member outside the predicate, E and I inside
+    witness = FALSE if p.form in ("A", "O") else TRUE
+    if any(kb.exists(e, pred) is witness for e in kb.members_true(subj)):
+        return FALSE if p.form in ("A", "E") else TRUE
     stored = kb.proposition(p.form, subj, pred)
     if stored is not None and stored.value.is_definite():
         return stored.value
@@ -214,16 +217,6 @@ def eval_proposition(kb: KnowledgeBase, p: CategoricalProposition) -> Value3:
     if stored_contrary is not None and stored_contrary.value is TRUE:
         return FALSE
     return UNKNOWN
-
-
-def _fact_counterexample(kb: KnowledgeBase, p: CategoricalProposition) -> Optional[Value3]:
-    """Definite verdict derivable from membership facts alone, if any."""
-    # A and O look for a known member outside the predicate, E and I inside
-    witness = FALSE if p.form in ("A", "O") else TRUE
-    if any(kb.exists(e, p.predicate) is witness
-           for e in kb.members_true(p.subject)):
-        return FALSE if p.form in ("A", "E") else TRUE
-    return None
 
 
 def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
@@ -242,15 +235,16 @@ def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
     fire, in the same order and from the same sources, as in a pass over
     all pairs and all moods.
     """
-    moods = _moods_by_premises(existential_import)
+    inhabited = {m.set_ for m in kb.memberships() if m.value is TRUE} \
+        if existential_import else frozenset()
+    # an import mood needs a known member, so none fires while no set has one
+    moods = _moods_by_premises(bool(inhabited))
     # per major form: (figure, major's middle slot, minor's middle slot,
     # minor form, moods) of every figure and minor form some mood takes
     joins = {form: [(figure, *_MIDDLE[figure], other, moods[key])
                     for figure in sorted(FIGURES) for other in FORMS
                     if (key := (figure, form, other)) in moods]
              for form in FORMS}
-    inhabited = {m.set_ for m in kb.memberships() if m.value is TRUE} \
-        if existential_import else frozenset()
     props: dict[str, CategoricalProposition] = {}
     added = 0
     fresh: Optional[set[str]] = None  # ids the previous round added
@@ -297,19 +291,19 @@ def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
 
 
 def contradictions(kb: KnowledgeBase) -> list[str]:
-    """Diagnostics for stored propositions defeated by membership facts or
+    """Diagnostics for stored universals defeated by membership facts or
     by a stored contrary; reported, never auto-resolved."""
     out = []
     for s in kb.propositions():
-        if s.value is not TRUE:
+        if s.value is not TRUE or s.form not in ("A", "E"):
             continue
         p = CategoricalProposition(s.form, kb.by_id(s.subject), kb.by_id(s.predicate))
-        facts = _fact_counterexample(kb, p)
-        if p.form in ("A", "E") and facts is FALSE:
+        # stored TRUE, so only a membership counterexample makes it FALSE
+        if eval_proposition(kb, p) is FALSE:
             out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
                        f"stored true but defeated by a membership counterexample")
         other = kb.proposition(CONTRADICTORY[s.form], p.subject, p.predicate)
-        if other is not None and other.value is TRUE and s.form in ("A", "E"):
+        if other is not None and other.value is TRUE:
             out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
                        f"and its contrary {CONTRADICTORY[s.form]} are both stored true")
     return out

@@ -44,39 +44,32 @@ def asked(subject="user", obj="question"):
 
 
 def test_trigger_forms_an_aim():
-    trig = Trigger(1, "edge", ("*", "asked", "*"), "answer {object}")
+    trig = Trigger(1, ("*", "asked", "*"), "answer {object}")
     aims = fire_triggers(asked(), [trig])
     assert aims == [Aim("answer question")]
     assert aims[0].classification is AimClass.UNDETERMINED
 
 
 def test_nonmatching_item_flies_past():
-    trig = Trigger(1, "edge", ("*", "asked", "*"), "answer {object}")
+    trig = Trigger(1, ("*", "asked", "*"), "answer {object}")
     assert fire_triggers(Observation.edge("ball", "thrown at", "window"),
                          [trig]) == []
 
 
 def test_two_triggers_fire_in_id_order():
-    trigs = [Trigger(2, "edge", ("user", "*", "*"), "log {verb}"),
-             Trigger(1, "edge", ("*", "asked", "*"), "answer {object}")]
+    trigs = [Trigger(2, ("user", "*", "*"), "log {verb}"),
+             Trigger(1, ("*", "asked", "*"), "answer {object}")]
     aims = fire_triggers(asked(), trigs)
     assert [a.description for a in aims] == ["answer question", "log asked"]
 
 
-def test_membership_trigger():
-    trig = Trigger(1, "membership", ("*", "in", "people"),
-                   "greet {element}")
-    obs = Observation.membership("alice", "people")
-    assert fire_triggers(obs, [trig]) == [Aim("greet alice")]
-
-
 def test_all_wildcard_pattern_rejected():
     with pytest.raises(ValueError):
-        Trigger(1, "edge", ("*", "*", "*"), "react")
+        Trigger(1, ("*", "*", "*"), "react")
 
 
 def test_fire_triggers_pure():
-    trig = Trigger(1, "edge", ("*", "asked", "*"), "answer {object}")
+    trig = Trigger(1, ("*", "asked", "*"), "answer {object}")
     assert fire_triggers(asked(), [trig]) == fire_triggers(asked(), [trig])
 
 

@@ -231,40 +231,15 @@ def test_meta_sets_matches_brute_scan(kb):
     assert [e.label for e in kb.meta_sets()] == brute
 
 
-# -- provenance audit -----------------------------------------------------
-
-def test_sources_resolve_and_prune_removes_dependents(kb):
-    a, b, c = (kb.upsert_entity(x) for x in "abc")
-    src = kb.assert_membership(a, b, TRUE)
-    dep = kb.assert_membership(a, c, TRUE, Provenance(Kind.DEDUCED, (src,)))
-    ids = {item.id for item in kb.items()}
-    assert src in ids and dep in ids
-    kb.retract(src)
-    assert kb.prune_unsupported() == 1
-    assert all(item.id != dep for item in kb.items())
-
-
-def test_prune_cascades(kb):
-    a, b, c, d = (kb.upsert_entity(x) for x in "abcd")
-    src = kb.assert_membership(a, b, TRUE)
-    mid = kb.assert_membership(a, c, TRUE, Provenance(Kind.DEDUCED, (src,)))
-    kb.assert_membership(a, d, TRUE, Provenance(Kind.DEDUCED, (mid,)))
-    kb.retract(src)
-    assert kb.prune_unsupported() == 2
-
-
 # -- the table layout -----------------------------------------------------
 
 _LABELS = ("a", "b", "c", "universe")
 _VERBS = ("sees", "likes")
 _RANK = {Kind.ASSERTED: 2, Kind.DEDUCED: 1, Kind.ABDUCED: 0}
-_step = st.one_of(
-    st.tuples(st.sampled_from(("mem", "edge")), st.sampled_from(_LABELS),
-              st.sampled_from(_VERBS), st.sampled_from(_LABELS),
-              st.sampled_from(VALUES), st.sampled_from(list(Kind)),
-              st.integers(1, 10)),
-    st.tuples(st.just("retract"), st.integers(1, 12)),
-    st.just(("prune",)))
+_step = st.tuples(st.sampled_from(("mem", "edge")), st.sampled_from(_LABELS),
+                  st.sampled_from(_VERBS), st.sampled_from(_LABELS),
+                  st.sampled_from(VALUES), st.sampled_from(list(Kind)),
+                  st.integers(1, 10))
 
 
 def _reads_agree_with_items(kb):
@@ -296,51 +271,27 @@ def _reads_agree_with_items(kb):
                 assert kb.edge(verb, x, y) is (found[0] if found else None)
 
 
-def _model_prune(live):
-    removed = 0
-    while True:
-        ids = {item_id for item_id, _ in live.values()}
-        doomed = [key for key, (_, prov) in live.items()
-                  if prov.kind is not Kind.ASSERTED
-                  and any(s not in ids for s in prov.sources)]
-        if not doomed:
-            return removed
-        for key in doomed:
-            del live[key]
-            removed += 1
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_step, max_size=25))
 def test_tables_match_a_model_of_writes_and_retracts(steps):
     kb = KnowledgeBase()
     ents = {label: kb.upsert_entity(label) for label in _LABELS}
     live: dict[tuple, tuple[str, Provenance]] = {}  # key -> (id, provenance)
-    for step in steps:
-        if step[0] == "retract":
-            item_id = f"#{step[1]}"
-            key = next((k for k, (iid, _) in live.items() if iid == item_id),
-                       None)
-            assert kb.retract(item_id) is (key is not None)
-            live.pop(key, None)
-        elif step[0] == "prune":
-            assert kb.prune_unsupported() == _model_prune(live)
+    for table, x, verb, y, value, kind, source in steps:
+        prov = ASSERTED if kind is Kind.ASSERTED \
+            else Provenance(kind, (f"#{source}",))
+        key = (x, y) if table == "mem" else (x, verb, y)
+        old = live.get(key)
+        write = (lambda: kb.assert_membership(ents[x], ents[y], value, prov)) \
+            if table == "mem" \
+            else (lambda: kb.assert_edge(verb, ents[x], ents[y], value, prov))
+        if old and old[1].kind is Kind.ASSERTED and kind is Kind.ABDUCED:
+            with pytest.raises(ConflictError):
+                write()
+        elif old is None or _RANK[kind] >= _RANK[old[1].kind]:
+            live[key] = (write(), prov)
         else:
-            table, x, verb, y, value, kind, source = step
-            prov = ASSERTED if kind is Kind.ASSERTED \
-                else Provenance(kind, (f"#{source}",))
-            key = (x, y) if table == "mem" else (x, verb, y)
-            old = live.get(key)
-            write = (lambda: kb.assert_membership(ents[x], ents[y], value, prov)) \
-                if table == "mem" \
-                else (lambda: kb.assert_edge(verb, ents[x], ents[y], value, prov))
-            if old and old[1].kind is Kind.ASSERTED and kind is Kind.ABDUCED:
-                with pytest.raises(ConflictError):
-                    write()
-            elif old is None or _RANK[kind] >= _RANK[old[1].kind]:
-                live[key] = (write(), prov)
-            else:
-                assert write() is None
+            assert write() is None
         _reads_agree_with_items(kb)
         assert len(list(kb.items())) == len(live)
         assert {item.id for item in kb.items()} == {iid for iid, _ in live.values()}

@@ -124,8 +124,8 @@ STAGE_MATRIX = [
     ("Armstrong is an astronaut.", ["ok #8"]),
     ("Armstrong flew to the Moon.", ["ok #9"]),
     ("No fish are animal.", ["ok #10"]),
-    # is-a: lookup, lookup through a stored proposition, entailment,
-    # conjecture, unknown, unknown entity
+    # is-a: lookup, entailment citing a stored proposition and a deduced
+    # one, conjecture, unknown, unknown entity
     ("Is Socrates a man?", [
         "yes (proven)",
         "  1. [asserted] membership: socrates in man = yes"]),
@@ -145,9 +145,9 @@ STAGE_MATRIX = [
     ("Is Socrates a sea?", ["unknown"]),
     ("Is Zeus a man?", ["unknown"]),
     ("All animal are living.", ["ok #11"]),
-    # are-all / are-any: lookup, entailment of a universal and of a
-    # particular's denial, conjecture, unknown, one entity twice, unknown
-    # entity
+    # are-all / are-any: entailment of a stored universal, of a derived
+    # one and of a particular's denial, conjecture, unknown, one entity
+    # twice, unknown entity
     ("Are all men mortal?", [
         "yes (proven)",
         "  1. [asserted] proposition: all man are mortal = yes"]),
@@ -215,6 +215,29 @@ def test_stage_matrix_traced_output():
     code, out = run_repl(script)
     assert code == 0
     assert out.splitlines() == [o for _, lines in STAGE_MATRIX for o in lines]
+
+
+@pytest.mark.parametrize("lines, expected", [
+    # a KB that entails both verdicts answers unknown, even when the asked
+    # universal is stored, or a stored universal covers one of the sets
+    (["All ka are kb.", "Some ka are not kb.", "Are all ka kb?"],
+     ["unknown",
+      "  1. [deduced] witness: some ka are not kb reaches ka and not ka"]),
+    (["Socrates is a man.", "Socrates is a tk.", "All tk are mortal.",
+      "No man are mortal.", "Is Socrates a mortal?"],
+     ["unknown", "  1. [deduced] witness: socrates reaches man and not man"]),
+    # a set whose universal is stored is cited before an earlier one
+    # whose universal is only entailed
+    (["Socrates is a ka.", "Socrates is a kb.", "All ka are kc.",
+      "All kc are kd.", "All kb are kd.", "Is Socrates a kd?"],
+     ["yes (proven)",
+      "  1. [asserted] membership: socrates in kb = yes",
+      "  2. [asserted] proposition: all kb are kd"]),
+])
+def test_derived_verdicts_come_from_entailment(lines, expected):
+    code, out = run_repl(":trace on\n" + "".join(line + "\n" for line in lines))
+    assert code == 0
+    assert out.splitlines()[len(lines):] == expected
 
 
 def test_answers_deterministic(moon_path):
