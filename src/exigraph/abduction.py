@@ -16,7 +16,6 @@ from typing import Optional, Union
 
 from .kb import Edge, Entity, Kind, KnowledgeBase, Provenance
 from .logic3 import TRUE, UNKNOWN
-from .syllogistics import CategoricalProposition
 
 
 class TooFewElementsError(ValueError):
@@ -39,7 +38,7 @@ class SetProposal:
     elements: tuple[Entity, ...]
 
 
-Proposal = Union[MembershipProposal, SetProposal, CategoricalProposition]
+Proposal = Union[MembershipProposal, SetProposal]
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,15 @@ def _properties(kb: KnowledgeBase, ent: Entity) -> dict[tuple, str]:
     return props
 
 
+def _held_by_all(kb: KnowledgeBase, entities: list[Entity]
+                 ) -> tuple[list[dict[tuple, str]], set[tuple]]:
+    """Each entity's :func:`_properties`, and the tags all of them hold
+    (none when there are no entities)."""
+    per_entity = [_properties(kb, e) for e in entities]
+    common = set.intersection(*map(set, per_entity)) if per_entity else set()
+    return per_entity, common
+
+
 def _prop_sort_key(kb: KnowledgeBase, tag: tuple) -> tuple:
     if tag[0] == "rel":
         return ("rel", tag[1], kb.label(tag[2]))
@@ -104,10 +112,7 @@ def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
         if x.id == set_.id or kb.exists(x, set_) is TRUE:
             continue
         if member_props is None:
-            member_props = [_properties(kb, m) for m in kb.members_true(set_)]
-            common = set(member_props[0]) if member_props else set()
-            for props in member_props[1:]:
-                common &= set(props)
+            member_props, common = _held_by_all(kb, kb.members_true(set_))
             common.discard(("mem", set_.id))
         x_props = _properties(kb, x)
         shared = sorted(common & x_props.keys(),
@@ -172,10 +177,7 @@ def generalize(elements: list[Entity], kb: KnowledgeBase) -> Optional[Hypothesis
     """
     if len(elements) < 2:
         raise TooFewElementsError("generalization needs at least 2 elements")
-    per_element = [_properties(kb, e) for e in elements]
-    common = set(per_element[0])
-    for props in per_element[1:]:
-        common &= set(props)
+    per_element, common = _held_by_all(kb, elements)
     if not common:
         return None
     shared = sorted(common, key=lambda t: _prop_sort_key(kb, t))

@@ -1,7 +1,8 @@
 """Perception-triggered aims and their classification.
 
 A trigger pattern watches newly perceived SPO edges and, on a match,
-instantiates its reaction template into an Aim.  Aims are
+instantiates its reaction template into an Aim; triggers fire in the
+order they were declared.  Aims are
 classified Task / Goal / Dream from two three-valued inputs: whether the
 actions are clear and whether resources are available.  Any UNKNOWN input
 leaves the aim Undetermined rather than forcing a classification.
@@ -53,19 +54,7 @@ class Aim:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """A newly recorded SPO edge, as label text."""
-
-    slots: tuple[str, str, str]  # (subject, verb, object)
-
-    @classmethod
-    def edge(cls, subject: str, verb: str, obj: str) -> "Observation":
-        return cls((subject, verb, obj))
-
-
-@dataclass(frozen=True)
 class Trigger:
-    id: int
     pattern: tuple[str, str, str]  # slots; "*" is a wildcard
     reaction: str  # template with {subject} {verb} {object}
 
@@ -73,24 +62,23 @@ class Trigger:
         if all(s == WILDCARD for s in self.pattern):
             raise ValueError("trigger pattern needs at least one concrete slot")
 
-    def matches(self, obs: Observation) -> bool:
+    def matches(self, obs: tuple[str, str, str]) -> bool:
         return all(p == WILDCARD or p == s
-                   for p, s in zip(self.pattern, obs.slots))
+                   for p, s in zip(self.pattern, obs))
 
-    def instantiate(self, obs: Observation) -> Aim:
+    def instantiate(self, obs: tuple[str, str, str]) -> Aim:
         text = self.reaction
-        for name, value in zip(("subject", "verb", "object"), obs.slots):
+        for name, value in zip(("subject", "verb", "object"), obs):
             text = text.replace("{" + name + "}", value)
         return Aim(text)
 
 
-def fire_triggers(new_item: Observation,
+def fire_triggers(new_item: tuple[str, str, str],
                   triggers: Sequence[Trigger]) -> list[Aim]:
-    """Aims formed by every matching trigger, in trigger-id order; a
-    non-matching item produces nothing."""
-    return [t.instantiate(new_item)
-            for t in sorted(triggers, key=lambda t: t.id)
-            if t.matches(new_item)]
+    """Aims formed by every trigger that matches a newly recorded SPO edge,
+    given as (subject, verb, object) labels, in the order of ``triggers``:
+    the order they were declared in.  A non-matching edge forms nothing."""
+    return [t.instantiate(new_item) for t in triggers if t.matches(new_item)]
 
 
 @dataclass(frozen=True)

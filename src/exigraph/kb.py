@@ -14,14 +14,16 @@ Equal or higher precedence replaces.
 Memberships are keyed element -> set and edges source -> (name, target),
 so an entity's own rows are one lookup away; reads by set or target scan.
 Only this module reads them: others call ``memberships(e)``/``edges(e)``.
-Every mutation bumps a revision counter.
+Every admitted write bumps the revision, and the item it stores is named
+after the revision it creates (``#<revision>``); a refused write moves
+neither.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3, and3, any3
@@ -108,38 +110,28 @@ def canonical_label(label: str) -> str:
     return _WS.sub(" ", label.strip().lower())
 
 
-@dataclass
-class _Tables:
-    entities: dict[int, Entity] = field(default_factory=dict)
-    by_label: dict[str, int] = field(default_factory=dict)
-    memberships: dict[int, dict[int, Membership]] = field(default_factory=dict)
-    edges: dict[int, dict[tuple[str, int], Edge]] = field(default_factory=dict)
-    propositions: dict[tuple[str, int, int], Proposition] = field(default_factory=dict)
-
-
 class KnowledgeBase:
     """Entity graph with three-valued assertions and provenance."""
 
     def __init__(self):
-        self._t = _Tables()
+        self._entities: dict[int, Entity] = {}
+        self._by_label: dict[str, int] = {}
+        self._memberships: dict[int, dict[int, Membership]] = {}
+        self._edges: dict[int, dict[tuple[str, int], Edge]] = {}
+        self._propositions: dict[tuple[str, int, int], Proposition] = {}
         self._revision = 0
         self._next_entity = 1
-        self._next_item = 1
         # the distinguished root; anchors existence_degree axiomatically
         self.root = self.upsert_entity(ROOT_LABEL)
-        self._revision = 0  # root creation does not count as a user mutation
 
     @property
     def revision(self) -> int:
         return self._revision
 
-    def _bump(self):
-        self._revision += 1
-
     def _new_id(self) -> str:
-        item_id = f"#{self._next_item}"
-        self._next_item += 1
-        return item_id
+        """Bump the revision for an admitted write and name its item."""
+        self._revision += 1
+        return f"#{self._revision}"
 
     # -- entities ---------------------------------------------------------
 
@@ -147,19 +139,19 @@ class KnowledgeBase:
         canon = canonical_label(label)
         if not canon:
             raise KbError("entity label is empty after canonicalization")
-        if canon in self._t.by_label:
-            return self._t.entities[self._t.by_label[canon]]
+        if canon in self._by_label:
+            return self._entities[self._by_label[canon]]
         ent = Entity(self._next_entity, canon)
         self._next_entity += 1
-        self._t.entities[ent.id] = ent
-        self._t.by_label[canon] = ent.id
+        self._entities[ent.id] = ent
+        self._by_label[canon] = ent.id
         return ent
 
     def entity(self, label: str) -> Optional[Entity]:
-        return self._t.entities.get(self._t.by_label.get(canonical_label(label), -1))
+        return self._entities.get(self._by_label.get(canonical_label(label), -1))
 
     def entities(self) -> list[Entity]:
-        return sorted(self._t.entities.values(), key=lambda e: e.label)
+        return sorted(self._entities.values(), key=lambda e: e.label)
 
     # -- writes -----------------------------------------------------------
 
@@ -177,9 +169,8 @@ class KnowledgeBase:
         old = self.membership(element, set_)
         if not self._admit(old.provenance if old else None, provenance):
             return None
-        self._bump()
         item = Membership(self._new_id(), element.id, set_.id, value, provenance)
-        self._t.memberships.setdefault(element.id, {})[set_.id] = item
+        self._memberships.setdefault(element.id, {})[set_.id] = item
         return item.id
 
     def assert_edge(self, name: str, from_: Entity, to: Entity,
@@ -187,12 +178,11 @@ class KnowledgeBase:
         name = canonical_label(name)
         if not name:
             raise KbError("relation name is empty")
-        old = self._t.edges.get(from_.id, {}).get((name, to.id))
+        old = self._edges.get(from_.id, {}).get((name, to.id))
         if not self._admit(old.provenance if old else None, provenance):
             return None
-        self._bump()
         item = Edge(self._new_id(), name, from_.id, to.id, value, provenance)
-        self._t.edges.setdefault(from_.id, {})[(name, to.id)] = item
+        self._edges.setdefault(from_.id, {})[(name, to.id)] = item
         return item.id
 
     def assert_proposition(self, form: str, subject: Entity, predicate: Entity,
@@ -202,54 +192,53 @@ class KnowledgeBase:
         if subject.id == predicate.id:
             raise KbError("trivial self-proposition rejected")
         key = (form, subject.id, predicate.id)
-        old = self._t.propositions.get(key)
+        old = self._propositions.get(key)
         if not self._admit(old.provenance if old else None, provenance):
             return None
-        self._bump()
         item = Proposition(self._new_id(), form, subject.id, predicate.id,
                            value, provenance)
-        self._t.propositions[key] = item
+        self._propositions[key] = item
         return item.id
 
     # -- reads ------------------------------------------------------------
 
     def items(self) -> Iterator[Membership | Edge | Proposition]:
-        for table in (*self._t.memberships.values(), *self._t.edges.values(),
-                      self._t.propositions):
+        for table in (*self._memberships.values(), *self._edges.values(),
+                      self._propositions):
             yield from table.values()
 
     def membership(self, element: Entity, set_: Entity) -> Optional[Membership]:
-        return self._t.memberships.get(element.id, {}).get(set_.id)
+        return self._memberships.get(element.id, {}).get(set_.id)
 
     def memberships(self, element: Optional[Entity] = None) -> list[Membership]:
         """Every membership, or only ``element``'s, in label order."""
-        rows = self._t.memberships.values() if element is None \
-            else [self._t.memberships.get(element.id, {})]
+        rows = self._memberships.values() if element is None \
+            else [self._memberships.get(element.id, {})]
         return sorted((m for by_set in rows for m in by_set.values()),
                       key=lambda m: (self.label(m.element), self.label(m.set_)))
 
     def edges(self, from_: Optional[Entity] = None) -> list[Edge]:
         """Every edge, or only those leaving ``from_``, in label order."""
-        rows = self._t.edges.values() if from_ is None \
-            else [self._t.edges.get(from_.id, {})]
+        rows = self._edges.values() if from_ is None \
+            else [self._edges.get(from_.id, {})]
         return sorted((e for by_target in rows for e in by_target.values()),
                       key=lambda e: (self.label(e.from_), e.name, self.label(e.to)))
 
     def edge(self, name: str, from_: Entity, to: Entity) -> Optional[Edge]:
-        return self._t.edges.get(from_.id, {}).get((canonical_label(name), to.id))
+        return self._edges.get(from_.id, {}).get((canonical_label(name), to.id))
 
     def propositions(self) -> list[Proposition]:
-        return sorted(self._t.propositions.values(),
+        return sorted(self._propositions.values(),
                       key=lambda p: (p.form, self.label(p.subject), self.label(p.predicate)))
 
     def proposition(self, form: str, subject: Entity, predicate: Entity) -> Optional[Proposition]:
-        return self._t.propositions.get((form, subject.id, predicate.id))
+        return self._propositions.get((form, subject.id, predicate.id))
 
     def label(self, entity_id: int) -> str:
-        return self._t.entities[entity_id].label
+        return self._entities[entity_id].label
 
     def by_id(self, entity_id: int) -> Entity:
-        return self._t.entities[entity_id]
+        return self._entities[entity_id]
 
     def exists(self, element: Entity, context_set: Entity) -> Value3:
         """Membership value of element in context_set; UNKNOWN if unasserted."""
@@ -258,8 +247,8 @@ class KnowledgeBase:
 
     def members_true(self, set_: Entity) -> list[Entity]:
         """Known-TRUE members of a set, in label order."""
-        out = [self._t.entities[element]
-               for element, by_set in self._t.memberships.items()
+        out = [self._entities[element]
+               for element, by_set in self._memberships.items()
                if (m := by_set.get(set_.id)) is not None and m.value is TRUE]
         return sorted(out, key=lambda e: e.label)
 
@@ -273,7 +262,7 @@ class KnowledgeBase:
         """
         root = self.root
         outgoing = {element: tuple(by_set.values())
-                    for element, by_set in self._t.memberships.items()}
+                    for element, by_set in self._memberships.items()}
 
         def walk(node: int, visited: frozenset[int]) -> Optional[Value3]:
             if node == root.id:
@@ -294,15 +283,15 @@ class KnowledgeBase:
 
     def perceives(self, observer: Entity, obj: Entity) -> Value3:
         """Disjunction over all relation edges observer -> obj; UNKNOWN if none."""
-        values = [e.value for e in self._t.edges.get(observer.id, {}).values()
+        values = [e.value for e in self._edges.get(observer.id, {}).values()
                   if e.to == obj.id]
         return any3(values) if values else UNKNOWN
 
     def meta_sets(self) -> list[Entity]:
         """Sets of sets: entities with a non-FALSE member that itself has members."""
-        live = [(m.element, m.set_) for by_set in self._t.memberships.values()
+        live = [(m.element, m.set_) for by_set in self._memberships.values()
                 for m in by_set.values() if m.value is not FALSE]
         nonempty = {set_ for _, set_ in live}
-        metas = {self._t.entities[set_] for element, set_ in live
+        metas = {self._entities[set_] for element, set_ in live
                  if element in nonempty}
         return sorted(metas, key=lambda e: e.label)

@@ -388,10 +388,8 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
     if not toks:
         raise ParseError("empty statement", 0, ("<statement>",))
 
-    if toks[0].text in ("all", "no"):
-        return _parse_universal(toks, lexicon)
-    if toks[0].text == "some":
-        return _parse_particular(toks, lexicon)
+    if toks[0].text in ("all", "no", "some"):
+        return _parse_categorical(toks, lexicon)
 
     is_idx = next((i for i, t in enumerate(toks) if t.text == "is"), None)
     if is_idx is not None and is_idx + 1 < len(toks) \
@@ -418,29 +416,19 @@ def _split_spo_pattern(toks: list[_Tok]) -> tuple[str, str, str]:
     return _split_spo(toks, toks[0].start)
 
 
-def _parse_universal(toks: list[_Tok], lexicon: Lexicon) -> CategoricalStmt:
-    form = "A" if toks[0].text == "all" else "E"
+def _parse_categorical(toks: list[_Tok], lexicon: Lexicon) -> CategoricalStmt:
+    """All/No/Some <Noun> are <Noun>, or Some <Noun> are not <Noun>."""
+    quantifier = toks[0].text
     are = next((i for i, t in enumerate(toks) if t.text == "are"), None)
     if are is None or are < 2 or are + 1 >= len(toks):
+        negation = "[not] " if quantifier == "some" else ""
         raise ParseError("malformed categorical statement", toks[0].start,
-                         (f"{toks[0].text.capitalize()} <Noun> are <Noun>.",))
-    subject = _join(_drop_articles(toks[1:are]))
-    predicate = _join(_drop_articles(toks[are + 1:]))
-    return _wrap(lambda: CategoricalStmt(form, lexicon.canon(subject),
-                                         lexicon.canon(predicate)),
-                 toks[0].start)
-
-
-def _parse_particular(toks: list[_Tok], lexicon: Lexicon) -> CategoricalStmt:
-    are = next((i for i, t in enumerate(toks) if t.text == "are"), None)
-    if are is None or are < 2 or are + 1 >= len(toks):
-        raise ParseError("malformed categorical statement", toks[0].start,
-                         ("Some <Noun> are [not] <Noun>.",))
+                         (f"{quantifier.capitalize()} <Noun> are "
+                          f"{negation}<Noun>.",))
+    form = {"all": "A", "no": "E", "some": "I"}[quantifier]
     rest = toks[are + 1:]
-    form = "I"
-    if rest[0].text == "not":
-        form = "O"
-        rest = rest[1:]
+    if form == "I" and rest[0].text == "not":
+        form, rest = "O", rest[1:]
         if not rest:
             raise ParseError("missing predicate", toks[-1].start, ("<Noun>",))
     subject = _join(_drop_articles(toks[1:are]))

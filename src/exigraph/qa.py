@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from . import lang
 from .abduction import DefeasibleRule, candidate, rule_edges
-from .agency import Observation, Trigger, fire_triggers
+from .agency import Trigger, fire_triggers
 from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
                  canonical_label)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
@@ -67,7 +67,7 @@ class Answer:
 class Session:
     """One dialogue: a KB plus lexicon, rules, triggers and flags.
 
-    Flags are immutable for the duration of a single question.
+    Triggers fire, and are saved, in the order they were declared.
     """
 
     kb: KnowledgeBase = field(default_factory=KnowledgeBase)
@@ -103,8 +103,7 @@ class Session:
             if rule not in self.rules:
                 self.rules.append(rule)
         elif isinstance(ast, lang.TriggerStmt):
-            self.triggers.append(Trigger(len(self.triggers) + 1,
-                                         (ast.subject, ast.verb, ast.obj),
+            self.triggers.append(Trigger((ast.subject, ast.verb, ast.obj),
                                          ast.reaction))
         elif isinstance(ast, lang.MembershipStmt):
             elem = self.kb.upsert_entity(ast.proper)
@@ -126,7 +125,7 @@ class Session:
             item = self.kb.assert_edge(ast.verb, subj, obj, TRUE, ASSERTED)
             self._head_link(subj, item)
             self._head_link(obj, item)
-            aims = fire_triggers(Observation.edge(subj.label, ast.verb, obj.label),
+            aims = fire_triggers((subj.label, ast.verb, obj.label),
                                  self.triggers)
         else:
             raise TypeError(f"not a statement AST: {ast!r}")
@@ -357,14 +356,13 @@ def _edge_conjecture(session: Session, q: lang.DidSpoQ, s: Entity,
     edges = [e for e in into + rule_edges(session.rules, into)
              if e.name == q.verb and e.value is not FALSE]
     for edge in sorted(edges, key=lambda e: kb.label(e.from_)):
+        abduced_here = edge.provenance.kind is Kind.ABDUCED
+        if edge.from_ == s.id and not abduced_here:
+            continue  # already handled by direct lookup
         actor = kb.by_id(edge.from_)
         link = _subject_link(kb, actor, s)
         if link is None:
             continue
-        abduced_here = edge.provenance.kind is Kind.ABDUCED
-        if not abduced_here and link.provenance == "asserted" \
-                and actor.id == s.id:
-            continue  # already handled by direct lookup
         trace = [TraceStep("edge",
                            f"{actor.label} {q.verb} {o.label}"
                            + (" (conjectured)" if abduced_here else " = yes"),
@@ -404,38 +402,30 @@ class LoadError(Exception):
 def _stored_lines(session: Session) -> list[str]:
     """Everything a saved file holds after the lexicon, as lines.
 
-    Order is deterministic: rules, triggers, memberships, categorical
-    propositions, SPO edges, each group alphabetical.  Only asserted,
-    language-expressible content is written; deduced and abduced items
-    are recomputed on demand after a load.
+    Order is deterministic: rules alphabetical, triggers in the order they
+    were declared, then memberships, categorical propositions and SPO
+    edges, each group alphabetical.  Only asserted, language-expressible
+    content is written; deduced and abduced items are recomputed on demand
+    after a load.
     """
-    kb = session.kb
-    lines: list[str] = []
-    for rule in sorted(session.rules, key=lambda r: (r.premise_verb,
-                                                     r.conclusion_verb)):
-        lines.append(lang.render(lang.RuleStmt(rule.premise_verb,
-                                               rule.conclusion_verb)))
-    for trig in sorted(session.triggers, key=lambda t: t.id):
-        lines.append(lang.render(lang.TriggerStmt(*trig.pattern, trig.reaction)))
-
-    group: list[str] = []
-    for m in kb.memberships():
-        if m.provenance.kind is Kind.ASSERTED and m.value is TRUE:
-            group.append(lang.render(lang.MembershipStmt(
-                kb.label(m.element), kb.label(m.set_))))
-    lines.extend(sorted(group))
-    group = []
-    for p in kb.propositions():
-        if p.provenance.kind is Kind.ASSERTED and p.value is TRUE:
-            group.append(lang.render(lang.CategoricalStmt(
-                p.form, kb.label(p.subject), kb.label(p.predicate))))
-    lines.extend(sorted(group))
-    group = []
-    for e in kb.edges():
-        if e.provenance.kind is Kind.ASSERTED and e.value is TRUE:
-            group.append(lang.render(lang.SpoStmt(
-                kb.label(e.from_), e.name, kb.label(e.to))))
-    lines.extend(sorted(group))
+    kb, label = session.kb, session.kb.label
+    lines = [lang.render(lang.RuleStmt(rule.premise_verb, rule.conclusion_verb))
+             for rule in sorted(session.rules, key=lambda r: (r.premise_verb,
+                                                              r.conclusion_verb))]
+    lines += [lang.render(lang.TriggerStmt(*trig.pattern, trig.reaction))
+              for trig in session.triggers]
+    groups = [
+        (kb.memberships(), lambda m: lang.MembershipStmt(label(m.element),
+                                                         label(m.set_))),
+        (kb.propositions(), lambda p: lang.CategoricalStmt(
+            p.form, label(p.subject), label(p.predicate))),
+        (kb.edges(), lambda e: lang.SpoStmt(label(e.from_), e.name,
+                                            label(e.to))),
+    ]
+    for rows, statement in groups:
+        lines += sorted(lang.render(statement(item)) for item in rows
+                        if item.provenance.kind is Kind.ASSERTED
+                        and item.value is TRUE)
     return lines
 
 

@@ -163,15 +163,15 @@ def _moods_by_premises(existential_import: bool
     return out
 
 
-def infer_syllogism(kb: KnowledgeBase, major: CategoricalProposition,
+def infer_syllogism(major: CategoricalProposition,
                     minor: CategoricalProposition, mood: Mood,
-                    inhabited: Optional[Collection[int]] = None
+                    inhabited: Collection[int]
                     ) -> Optional[CategoricalProposition]:
     """Apply one mood to a premise pair; None if the premises don't fit.
 
-    Moods that require existential import only fire when the restricted
-    term has at least one known-TRUE member in the KB; ``inhabited``, when
-    given, holds the ids of those sets, so the KB is not read.
+    A mood that requires existential import fires only when its restricted
+    term is in ``inhabited``, the ids of the sets known to have a member.
+    Raises :class:`InvalidMoodError` for a mood not in the table.
     """
     if mood not in _moods_by_premises(True).get(
             (mood.figure, *mood.forms[:2]), ()):
@@ -189,8 +189,7 @@ def infer_syllogism(kb: KnowledgeBase, major: CategoricalProposition,
         return None
     if mood.requires_import:
         restricted = {"S": s, "M": m, "P": p}[mood.import_term]
-        if not (kb.members_true(restricted) if inhabited is None
-                else restricted.id in inhabited):
+        if restricted.id not in inhabited:
             return None
     return CategoricalProposition(mood.forms[2], s, p)
 
@@ -276,7 +275,7 @@ def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
                 mnr = stored[j]
                 minor = props[mnr.id]
                 for mood in fits:
-                    concl = infer_syllogism(kb, major, minor, mood, inhabited)
+                    concl = infer_syllogism(major, minor, mood, inhabited)
                     if concl is None or kb.proposition(
                             concl.form, concl.subject,
                             concl.predicate) is not None:

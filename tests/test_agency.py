@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from exigraph.agency import (Aim, AimClass, MotivationRanking, Observation,
-                             Trigger, choose, classify_aim, fire_triggers)
+from exigraph.agency import (Aim, AimClass, MotivationRanking, Trigger,
+                             choose, classify_aim, fire_triggers)
 from exigraph.logic3 import FALSE, TRUE, VALUES
 
 
@@ -40,36 +40,37 @@ def test_aim_classification_derives_from_fields():
 # -- triggers -------------------------------------------------------------
 
 def asked(subject="user", obj="question"):
-    return Observation.edge(subject, "asked", obj)
+    return (subject, "asked", obj)
 
 
 def test_trigger_forms_an_aim():
-    trig = Trigger(1, ("*", "asked", "*"), "answer {object}")
+    trig = Trigger(("*", "asked", "*"), "answer {object}")
     aims = fire_triggers(asked(), [trig])
     assert aims == [Aim("answer question")]
     assert aims[0].classification is AimClass.UNDETERMINED
 
 
 def test_nonmatching_item_flies_past():
-    trig = Trigger(1, ("*", "asked", "*"), "answer {object}")
-    assert fire_triggers(Observation.edge("ball", "thrown at", "window"),
-                         [trig]) == []
+    trig = Trigger(("*", "asked", "*"), "answer {object}")
+    assert fire_triggers(("ball", "thrown at", "window"), [trig]) == []
 
 
-def test_two_triggers_fire_in_id_order():
-    trigs = [Trigger(2, ("user", "*", "*"), "log {verb}"),
-             Trigger(1, ("*", "asked", "*"), "answer {object}")]
+def test_two_triggers_fire_in_declaration_order():
+    trigs = [Trigger(("user", "*", "*"), "log {verb}"),
+             Trigger(("*", "asked", "*"), "answer {object}")]
     aims = fire_triggers(asked(), trigs)
+    assert [a.description for a in aims] == ["log asked", "answer question"]
+    aims = fire_triggers(asked(), trigs[::-1])
     assert [a.description for a in aims] == ["answer question", "log asked"]
 
 
 def test_all_wildcard_pattern_rejected():
     with pytest.raises(ValueError):
-        Trigger(1, ("*", "*", "*"), "react")
+        Trigger(("*", "*", "*"), "react")
 
 
 def test_fire_triggers_pure():
-    trig = Trigger(1, ("*", "asked", "*"), "answer {object}")
+    trig = Trigger(("*", "asked", "*"), "answer {object}")
     assert fire_triggers(asked(), [trig]) == fire_triggers(asked(), [trig])
 
 

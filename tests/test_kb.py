@@ -285,13 +285,19 @@ def test_tables_match_a_model_of_writes_and_retracts(steps):
         write = (lambda: kb.assert_membership(ents[x], ents[y], value, prov)) \
             if table == "mem" \
             else (lambda: kb.assert_edge(verb, ents[x], ents[y], value, prov))
+        revision = kb.revision
         if old and old[1].kind is Kind.ASSERTED and kind is Kind.ABDUCED:
             with pytest.raises(ConflictError):
                 write()
         elif old is None or _RANK[kind] >= _RANK[old[1].kind]:
             live[key] = (write(), prov)
+            revision += 1
+            # an item is named after the revision its write creates
+            assert live[key][0] == f"#{revision}"
         else:
             assert write() is None
+        # a refused write moves neither the revision nor the next item id
+        assert kb.revision == revision
         _reads_agree_with_items(kb)
         assert len(list(kb.items())) == len(live)
         assert {item.id for item in kb.items()} == {iid for iid, _ in live.values()}

@@ -408,6 +408,19 @@ def test_repl_trigger_fires_aim():
     assert "aim: answer question" in out
 
 
+def test_repl_triggers_fire_in_declaration_order(tmp_path):
+    path = tmp_path / "t.kb"
+    script = ('trigger: when user * * then "log {verb}".\n'
+              'trigger: when * asked * then "answer {object}".\n'
+              "User asked question.\n"
+              f":save {path}\n:load {path}\n"
+              "User asked question.\n")
+    _, out = run_repl(script)
+    assert out.splitlines() == [
+        "ok #0", "ok #0", "ok #1", "aim: log asked", "aim: answer question",
+        "ok #1", "ok #1", "ok #2", "aim: log asked", "aim: answer question"]
+
+
 @pytest.mark.parametrize("entry, trigger, lines, aim", [
     ("lexicon: fly to = flew to.", 'when * fly to * then "visit {object}"',
      ["Armstrong fly to the moon.", "Armstrong flew to the moon."],

@@ -65,8 +65,8 @@ def mood(name):
 
 def test_barbara():
     kb = KnowledgeBase()
-    concl = infer_syllogism(kb, prop(kb, "A", "men", "mortal"),
-                            prop(kb, "A", "greeks", "men"), mood("AAA-1"))
+    concl = infer_syllogism(prop(kb, "A", "men", "mortal"),
+                            prop(kb, "A", "greeks", "men"), mood("AAA-1"), ())
     assert concl == prop(kb, "A", "greeks", "mortal")
 
 
@@ -74,24 +74,31 @@ def test_darapti_needs_a_known_member():
     kb = KnowledgeBase()
     major = prop(kb, "A", "m", "p")
     minor = prop(kb, "A", "m", "s")
-    assert infer_syllogism(kb, major, minor, mood("AAI-3")) is None
-    kb.assert_membership(kb.upsert_entity("x"), kb.upsert_entity("m"), TRUE)
-    assert infer_syllogism(kb, major, minor, mood("AAI-3")) \
+    m = kb.entity("m")
+    assert infer_syllogism(major, minor, mood("AAI-3"), ()) is None
+    assert infer_syllogism(major, minor, mood("AAI-3"), {m.id}) \
         == prop(kb, "I", "s", "p")
+    # closure reads which sets have a known member off the KB
+    store(kb, "A", "m", "p")
+    store(kb, "A", "m", "s")
+    assert closure(kb, True) == 0
+    kb.assert_membership(kb.upsert_entity("x"), m, TRUE)
+    assert closure(kb, True) > 0
+    assert kb.proposition("I", kb.entity("s"), kb.entity("p")).value is TRUE
 
 
 def test_no_shared_middle_term():
     kb = KnowledgeBase()
-    assert infer_syllogism(kb, prop(kb, "A", "a", "b"),
-                           prop(kb, "A", "c", "d"), mood("AAA-1")) is None
+    assert infer_syllogism(prop(kb, "A", "a", "b"),
+                           prop(kb, "A", "c", "d"), mood("AAA-1"), ()) is None
 
 
 def test_invalid_mood_rejected():
     kb = KnowledgeBase()
     bogus = Mood(2, ("A", "A", "A"), False)
     with pytest.raises(InvalidMoodError):
-        infer_syllogism(kb, prop(kb, "A", "a", "b"),
-                        prop(kb, "A", "c", "a"), bogus)
+        infer_syllogism(prop(kb, "A", "a", "b"),
+                        prop(kb, "A", "c", "a"), bogus, ())
 
 
 # -- evaluation -----------------------------------------------------------
