@@ -12,8 +12,11 @@ ignored, except that an ABDUCED write over an ASSERTED item raises
 Equal or higher precedence replaces.
 
 Memberships are keyed element -> set and edges source -> (name, target),
-so an entity's own rows are one lookup away; reads by set or target scan.
-Only this module reads them: others call ``memberships(e)``/``edges(e)``.
+so an entity's own rows are one lookup away.  The same write also files
+the item in a reverse map, memberships set -> element and edges target ->
+(name, source), so a set's members and the edges into an entity are one
+lookup away too.  Only this module reads the maps: others call
+``memberships(e)``, ``edges(e)``, ``members_true(s)`` or ``edges_into(t)``.
 Every admitted write bumps the revision, and the item it stores is named
 after the revision it creates (``#<revision>``); a refused write moves
 neither.
@@ -117,7 +120,9 @@ class KnowledgeBase:
         self._entities: dict[int, Entity] = {}
         self._by_label: dict[str, int] = {}
         self._memberships: dict[int, dict[int, Membership]] = {}
+        self._members: dict[int, dict[int, Membership]] = {}  # set -> element
         self._edges: dict[int, dict[tuple[str, int], Edge]] = {}
+        self._edges_into: dict[int, dict[tuple[str, int], Edge]] = {}
         self._propositions: dict[tuple[str, int, int], Proposition] = {}
         self._revision = 0
         self._next_entity = 1
@@ -171,6 +176,7 @@ class KnowledgeBase:
             return None
         item = Membership(self._new_id(), element.id, set_.id, value, provenance)
         self._memberships.setdefault(element.id, {})[set_.id] = item
+        self._members.setdefault(set_.id, {})[element.id] = item
         return item.id
 
     def assert_edge(self, name: str, from_: Entity, to: Entity,
@@ -183,6 +189,7 @@ class KnowledgeBase:
             return None
         item = Edge(self._new_id(), name, from_.id, to.id, value, provenance)
         self._edges.setdefault(from_.id, {})[(name, to.id)] = item
+        self._edges_into.setdefault(to.id, {})[(name, from_.id)] = item
         return item.id
 
     def assert_proposition(self, form: str, subject: Entity, predicate: Entity,
@@ -224,6 +231,11 @@ class KnowledgeBase:
         return sorted((e for by_target in rows for e in by_target.values()),
                       key=lambda e: (self.label(e.from_), e.name, self.label(e.to)))
 
+    def edges_into(self, to: Entity) -> list[Edge]:
+        """The edges into ``to``, in :meth:`edges` order."""
+        return sorted(self._edges_into.get(to.id, {}).values(),
+                      key=lambda e: (self.label(e.from_), e.name))
+
     def edge(self, name: str, from_: Entity, to: Entity) -> Optional[Edge]:
         return self._edges.get(from_.id, {}).get((canonical_label(name), to.id))
 
@@ -247,10 +259,9 @@ class KnowledgeBase:
 
     def members_true(self, set_: Entity) -> list[Entity]:
         """Known-TRUE members of a set, in label order."""
-        out = [self._entities[element]
-               for element, by_set in self._memberships.items()
-               if (m := by_set.get(set_.id)) is not None and m.value is TRUE]
-        return sorted(out, key=lambda e: e.label)
+        return sorted((self._entities[element] for element, m
+                       in self._members.get(set_.id, {}).items()
+                       if m.value is TRUE), key=lambda e: e.label)
 
     def existence_degree(self, element: Entity) -> Value3:
         """Existence of ``element`` relative to an axiomatically existing root.

@@ -329,8 +329,8 @@ def _edge_lookup(session: Session, q: lang.DidSpoQ, s: Entity, o: Entity
             "edge", f"{s.label} {verb} {o.label} = {edge.value}",
             edge.provenance.kind.value)])
     # a known member of s did it: the distributive reading is proven
-    for edge in kb.edges():
-        if edge.name != verb or edge.to != o.id or edge.value is not TRUE:
+    for edge in kb.edges_into(o):
+        if edge.name != verb or edge.value is not TRUE:
             continue
         if edge.provenance.kind is Kind.ABDUCED:
             continue
@@ -352,7 +352,7 @@ def _edge_conjecture(session: Session, q: lang.DidSpoQ, s: Entity,
     """Look for an actor linked to the asked subject, through stored edges
     and the edges the rules would conclude."""
     kb = session.kb
-    into = [e for e in kb.edges() if e.to == o.id]
+    into = kb.edges_into(o)
     edges = [e for e in into + rule_edges(session.rules, into)
              if e.name == q.verb and e.value is not FALSE]
     for edge in sorted(edges, key=lambda e: kb.label(e.from_)):

@@ -319,7 +319,8 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
 # another, and every clause has a negative literal, so following the
 # implications from the units is a complete check (Aspvall, Plass & Tarjan
 # 1979; Pratt-Hartmann & Moss 2009).  A claim is entailed iff the KB plus
-# its denial has no model.
+# its denial has no model.  Whether a walk clashes depends only on the
+# graph and the units, so witnesses with the same units share one walk.
 
 Literal = tuple[int, bool]  # (set entity id, in the set?)
 
@@ -403,7 +404,9 @@ def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
     first, so a KB that contradicts itself there says so); the denial of
     I and O is one more clause, checked against every witness.  With
     ``existential_import`` every set is nonempty: one witness {t} per set.
-    Nothing is cached or written: each call reads the KB afresh.
+    Witnesses are read in order and each distinct list of units is walked
+    once: many elements often hold the same memberships.  Nothing outlives
+    the call and nothing is written: each call reads the KB afresh.
     """
     graph = _implications(kb)
     if form in ("in", "out"):
@@ -415,8 +418,13 @@ def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
     else:
         _add_clause(graph, "E" if form == "I" else "A", s.id, p.id)
         witnesses = _witnesses(kb, graph, existential_import)
+    walked: set[tuple[Literal, ...]] = set()  # units that reached no clash
     for label, units in witnesses:
+        key = tuple(units)
+        if key in walked:
+            continue
         set_ = _clash(graph, units)
         if set_ is not None:
             return f"{label} reaches {kb.label(set_)} and not {kb.label(set_)}"
+        walked.add(key)
     return None

@@ -257,6 +257,9 @@ def _reads_agree_with_items(kb):
             (m for m in mems if m.element == x.id), key=mem_key)
         out = sorted((e for e in edges if e.from_ == x.id), key=edge_key)
         assert kb.edges(x) == out
+        assert kb.edges_into(x) == sorted(
+            (e for e in edges if e.to == x.id),
+            key=lambda e: (kb.label(e.from_), e.name))
         assert kb.members_true(x) == sorted(
             (kb.by_id(m.element) for m in mems
              if m.set_ == x.id and m.value is TRUE), key=lambda e: e.label)

@@ -8,9 +8,9 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exigraph import cli, qa
+from exigraph import cli, qa, syllogistics
 from exigraph.agency import AimClass
-from exigraph.kb import KbError
+from exigraph.kb import KbError, KnowledgeBase
 from exigraph.logic3 import TRUE, UNKNOWN
 from exigraph.qa import Answer, LoadError, Session, load_kb, save_kb
 
@@ -238,6 +238,42 @@ def test_derived_verdicts_come_from_entailment(lines, expected):
     code, out = run_repl(":trace on\n" + "".join(line + "\n" for line in lines))
     assert code == 0
     assert out.splitlines()[len(lines):] == expected
+
+
+def test_questions_read_only_what_they_ask_about(monkeypatch):
+    # 200 individuals over four categories, three of them A-linked to the
+    # fourth; birds saw the sea, the rest saw the lake
+    categories = ("animal", "bird", "fish", "snake")
+    s = Session()
+    s.assert_line("rule: X saw Y => X was at Y.")
+    for c in categories[1:]:
+        s.assert_line(f"All {c} are animal.")
+    for i in range(200):
+        c = categories[i % 4]
+        s.assert_line(f"P{i} is a {c}.")
+        s.assert_line(f"P{i} saw {'sea' if c == 'bird' else 'lake'}.")
+    walks = 0
+    clash = syllogistics._clash
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return clash(*args)
+
+    monkeypatch.setattr(syllogistics, "_clash", counted)
+    assert s.ask_line("Are any bird fish?").verdict is UNKNOWN
+    # one walk per distinct witness: the four units {category} of the
+    # "some" check, and "some bird are fish" for the "none" check; a walk
+    # per element would be 201
+    assert walks <= len(categories) + 1
+
+    def no_full_edge_read(*args):
+        raise AssertionError("a did-question read every edge")
+
+    monkeypatch.setattr(KnowledgeBase, "edges", no_full_edge_read)
+    assert s.ask_line("Did bird saw sea?").render() == "yes (proven)"
+    # the lookup and the conjecture over the rules both come up empty
+    assert s.ask_line("Did fish saw sea?").render() == "unknown"
 
 
 def test_answers_deterministic(moon_path):

@@ -10,6 +10,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
+    "ask_scaling.py": ["--individuals", "20", "--questions", "10"],
     "closure_scaling.py": ["--links", "3", "7"],
     "existence_survey.py": ["--trials", "5"],
     "mood_census.py": ["--countermodels"],
