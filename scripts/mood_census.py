@@ -30,7 +30,7 @@ def main() -> None:
         for m in table:
             if m.figure != figure:
                 continue
-            tag = f"*{m.import_term}" if m.requires_import else ""
+            tag = f"*{m.import_term}" if m.import_term is not None else ""
             names.append(m.name + tag)
         print(f"figure {figure}: {'  '.join(names)}")
     print(f"{len(strict)} unconditional, {len(table)} with existential "

@@ -1,16 +1,16 @@
 """Categorical propositions and syllogistic inference.
 
 The mood table is not transcribed from a textbook: it is generated once, at
-first use, by brute-force model enumeration.  A mood (figure + form triple)
-is admitted iff no assignment of the three terms to subsets of a small
-universe makes both premises true and the conclusion false; universes of
-size up to 3 suffice to find a countermodel for every invalid combination.
+first use, by asking :func:`entails` about each figure and form triple.  A
+triple is a mood iff its two premises, stored in a KB of three terms, entail
+its conclusion; failing that, it is an import mood iff they entail it once
+one term is known to have a member, and the first such term of S, M and P
+is the mood's import term.
 
-Without existential import 15 moods survive; allowing the import assumption
-(each term denotes a nonempty set) admits 9 more, each tagged with the one
-term whose nonemptiness it needs.  The table drives :func:`closure`, which
-``check`` and ``:closure`` run; questions are settled by :func:`entails`,
-a complete decision procedure for the same fragment.
+Without existential import 15 moods survive; the import assumption admits
+9 more, each with the one term that needs a known member.  The table drives
+:func:`closure`, which ``check`` and ``:closure`` run; questions are settled
+by :func:`entails` directly, so the logic has one decision procedure.
 
 Moods are looked up by (figure, major form, minor form).  Closure is
 semi-naive (Bancilhon & Ramakrishnan 1986): after the first round it joins
@@ -49,10 +49,6 @@ FIGURES = {
 _MIDDLE = {figure: (maj.index("M"), mnr.index("M"))
            for figure, (maj, mnr) in FIGURES.items()}
 
-# universes up to this size already separate the valid moods; the tests
-# check the table against an independent enumeration up to four elements
-_MAX_UNIVERSE = 3
-
 
 @dataclass(frozen=True)
 class CategoricalProposition:
@@ -73,8 +69,7 @@ class CategoricalProposition:
 class Mood:
     figure: int
     forms: tuple[str, str, str]  # major, minor, conclusion
-    requires_import: bool
-    import_term: Optional[str] = None  # S/M/P whose nonemptiness is needed
+    import_term: Optional[str] = None  # S/M/P that needs a known member
 
     @property
     def name(self) -> str:
@@ -85,44 +80,17 @@ class InvalidMoodError(Exception):
     pass
 
 
-def _holds(form: str, s: frozenset, p: frozenset) -> bool:
-    if form == "A":
-        return s <= p
-    if form == "E":
-        return not (s & p)
-    if form == "I":
-        return bool(s & p)
-    return bool(s - p)  # O
-
-
-def _premise_sets(figure: int, s, m, p):
-    terms = {"S": s, "M": m, "P": p}
-    (maj, mnr) = FIGURES[figure]
-    return (terms[maj[0]], terms[maj[1]]), (terms[mnr[0]], terms[mnr[1]])
-
-
-def _countermodel(figure: int, forms: tuple[str, str, str], *,
-                  nonempty: frozenset[str] = frozenset()) -> Optional[tuple]:
-    """Search assignments of S, M, P to subsets of universes of size
-    0.._MAX_UNIVERSE for one where the premises hold and the conclusion
-    fails; ``nonempty`` names terms constrained to be nonempty."""
-    maj_form, min_form, concl_form = forms
-    for n in range(_MAX_UNIVERSE + 1):
-        universe = frozenset(range(n))
-        subsets = [frozenset(c) for k in range(n + 1)
-                   for c in itertools.combinations(sorted(universe), k)]
-        for s, m, p in itertools.product(subsets, repeat=3):
-            if "S" in nonempty and not s:
-                continue
-            if "M" in nonempty and not m:
-                continue
-            if "P" in nonempty and not p:
-                continue
-            (a1, a2), (b1, b2) = _premise_sets(figure, s, m, p)
-            if (_holds(maj_form, a1, a2) and _holds(min_form, b1, b2)
-                    and not _holds(concl_form, s, p)):
-                return (n, s, m, p)
-    return None
+def _entailed(figure: int, forms: tuple[str, str, str],
+              known: Optional[str]) -> bool:
+    """Whether the premises ``forms[:2]`` laid out as in ``figure``, plus
+    one member of term ``known`` if it is given, entail the conclusion."""
+    kb = KnowledgeBase()
+    terms = {t: kb.upsert_entity(t) for t in "SMP"}
+    for form, (subj, pred) in zip(forms, FIGURES[figure]):
+        kb.assert_proposition(form, terms[subj], terms[pred], TRUE)
+    if known is not None:
+        kb.assert_membership(kb.upsert_entity("x"), terms[known], TRUE)
+    return entails(kb, forms[2], terms["S"], terms["P"]) is not None
 
 
 @lru_cache(maxsize=None)
@@ -130,25 +98,20 @@ def _mood_table() -> tuple[Mood, ...]:
     moods: list[Mood] = []
     for figure in sorted(FIGURES):
         for forms in itertools.product(FORMS, repeat=3):
-            if _countermodel(figure, forms) is None:
-                moods.append(Mood(figure, forms, requires_import=False))
-                continue
-            if _countermodel(figure, forms, nonempty=frozenset("SMP")) is None:
-                # valid only with import; find the single term that carries it
-                term = next(t for t in ("S", "M", "P")
-                            if _countermodel(figure, forms,
-                                             nonempty=frozenset({t})) is None)
-                moods.append(Mood(figure, forms, requires_import=True,
-                                  import_term=term))
+            for term in (None, "S", "M", "P"):
+                if _entailed(figure, forms, term):
+                    moods.append(Mood(figure, forms, term))
+                    break
     return tuple(moods)
 
 
 def valid_moods(existential_import: bool = False) -> list[Mood]:
-    """The oracle-derived mood table: 15 unconditional, 24 with import."""
+    """The mood table, in figure and form order: 15 unconditional moods,
+    and 24 once the moods that need a known member are admitted."""
     table = _mood_table()
     if existential_import:
         return list(table)
-    return [m for m in table if not m.requires_import]
+    return [m for m in table if m.import_term is None]
 
 
 @lru_cache(maxsize=None)
@@ -169,8 +132,8 @@ def infer_syllogism(major: CategoricalProposition,
                     ) -> Optional[CategoricalProposition]:
     """Apply one mood to a premise pair; None if the premises don't fit.
 
-    A mood that requires existential import fires only when its restricted
-    term is in ``inhabited``, the ids of the sets known to have a member.
+    A mood with an import term fires only when that term is in
+    ``inhabited``, the ids of the sets known to have a member.
     Raises :class:`InvalidMoodError` for a mood not in the table.
     """
     if mood not in _moods_by_premises(True).get(
@@ -187,7 +150,7 @@ def infer_syllogism(major: CategoricalProposition,
     s, p = min_terms[1 - mid], maj_terms[1 - at]
     if s.id == p.id:
         return None
-    if mood.requires_import:
+    if mood.import_term is not None:
         restricted = {"S": s, "M": m, "P": p}[mood.import_term]
         if restricted.id not in inhabited:
             return None

@@ -10,7 +10,8 @@ from exigraph.syllogistics import (CategoricalProposition, InvalidMoodError,
                                    eval_proposition, infer_syllogism,
                                    valid_moods)
 
-from oracles import oracle_closure, oracle_countermodel, oracle_mood_names
+from oracles import (_oracle_moods, oracle_closure, oracle_countermodel,
+                     oracle_mood_names)
 
 
 def prop(kb, form, s, p):
@@ -50,9 +51,19 @@ def test_import_only_moods_are_flagged():
     assert conditional == {"AAI-1", "EAO-1", "AEO-2", "EAO-2", "AAI-3",
                            "EAO-3", "AAI-4", "AEO-4", "EAO-4"}
     for m in valid_moods(True):
-        assert m.requires_import == (m.name in conditional)
-        if m.requires_import:
+        assert (m.import_term is not None) == (m.name in conditional)
+        if m.import_term is not None:
             assert m.import_term in ("S", "M", "P")
+
+
+@pytest.mark.parametrize("existential_import", [False, True])
+def test_table_matches_the_oracle_in_order_with_import_terms(
+        existential_import):
+    # the table is built by entails, so this also checks entails on every
+    # two-premise inference, with and without a known member of one term
+    assert [(m.figure, m.forms, m.import_term)
+            for m in valid_moods(existential_import)] \
+        == _oracle_moods(existential_import)
 
 
 # -- single-step inference ------------------------------------------------
@@ -95,10 +106,11 @@ def test_no_shared_middle_term():
 
 def test_invalid_mood_rejected():
     kb = KnowledgeBase()
-    bogus = Mood(2, ("A", "A", "A"), False)
-    with pytest.raises(InvalidMoodError):
-        infer_syllogism(prop(kb, "A", "a", "b"),
-                        prop(kb, "A", "c", "a"), bogus, ())
+    for bogus in (Mood(2, ("A", "A", "A")),
+                  Mood(3, ("A", "A", "I"), "S")):  # Darapti needs M
+        with pytest.raises(InvalidMoodError):
+            infer_syllogism(prop(kb, "A", "a", "b"),
+                            prop(kb, "A", "c", "a"), bogus, ())
 
 
 # -- evaluation -----------------------------------------------------------
