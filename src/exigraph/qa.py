@@ -80,11 +80,17 @@ class Session:
     # -- asserting --------------------------------------------------------
 
     def assert_line(self, line: str) -> tuple[int, list]:
-        """Parse and apply one statement line; returns (revision, fired aims)."""
-        ast = lang.parse_statement(line, self.lexicon)
-        return self.apply_statement(ast)
+        """Parse and apply one statement line; returns (revision, fired aims).
 
-    def apply_statement(self, ast: lang.StatementAst) -> tuple[int, list]:
+        This is the one way a statement reaches the session: typed in the
+        REPL or read from a KB file by :func:`load_kb`.  A refused line
+        raises (:class:`~exigraph.lang.ParseError` or
+        :class:`~exigraph.kb.KbError`) and leaves the session as it was.  A
+        lexicon entry is refused when it has a cycle, or when it would
+        change how a stored statement reads back: a saved file lists the
+        lexicon first.
+        """
+        ast = lang.parse_statement(line, self.lexicon)
         aims: list = []
         if isinstance(ast, lang.LexiconStmt):
             # a saved file lists the lexicon first: no stored line may change
@@ -137,8 +143,6 @@ class Session:
         if len(words) < 2 or source is None:
             return
         head = self.kb.upsert_entity(words[-1])
-        if head.id == phrase.id:
-            return
         if self.kb.proposition("A", phrase, head) is None:
             self.kb.assert_proposition("A", phrase, head, TRUE,
                                        Provenance(Kind.DEDUCED, (source,)))
@@ -448,8 +452,11 @@ def save_kb(session: Session, path: str) -> int:
 
 
 def load_kb(path: str, existential_import: bool = False) -> Session:
-    """Parse a KB file into a fresh session; atomic (a bad line leaves
-    nothing loaded) and errors name the offending line."""
+    """Read a KB file as a script: every line that is not blank or a
+    comment goes through :meth:`Session.assert_line` of a fresh session, as
+    if it were typed, so a file is refused where the REPL would refuse the
+    line.  Atomic (a bad line leaves nothing loaded); the error names the
+    first bad line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -457,26 +464,11 @@ def load_kb(path: str, existential_import: bool = False) -> Session:
     except UnicodeDecodeError as exc:
         raise LoadError(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
     session = Session(existential_import=existential_import)
-    staged: list[tuple[int, lang.StatementAst]] = []
     for line_no, line in enumerate(raw, start=1):
         if not lang._strip_comment(line).strip():
             continue
         try:
-            ast = lang.parse_statement(line, session.lexicon)
-        except lang.ParseError as exc:
-            raise LoadError(path, line_no, exc) from exc
-        staged.append((line_no, ast))
-        if isinstance(ast, lang.LexiconStmt):
-            # later lines canonicalize through earlier lexicon entries
-            try:
-                session.lexicon.add(ast.surface, ast.canonical)
-            except ValueError as exc:
-                raise LoadError(path, line_no, exc) from exc
-    for line_no, ast in staged:
-        if isinstance(ast, lang.LexiconStmt):
-            continue
-        try:
-            session.apply_statement(ast)
-        except Exception as exc:  # validation that only shows at apply time
+            session.assert_line(line)
+        except Exception as exc:
             raise LoadError(path, line_no, exc) from exc
     return session

@@ -254,7 +254,10 @@ def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
 
 def contradictions(kb: KnowledgeBase) -> list[str]:
     """Diagnostics for stored universals defeated by membership facts or
-    by a stored contrary; reported, never auto-resolved."""
+    by a stored contrary; reported, never auto-resolved.  When there are
+    none and the KB still has no model, the one line names the witness
+    that clashes (:func:`inconsistency`), so, abduced items aside, the list
+    is empty iff the KB has a model."""
     out = []
     for s in kb.propositions():
         if s.value is not TRUE or s.form not in ("A", "E"):
@@ -268,6 +271,8 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
         if other is not None and other.value is TRUE:
             out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
                        f"and its contrary {CONTRADICTORY[s.form]} are both stored true")
+    if not out and (clash := inconsistency(kb)) is not None:
+        out.append(clash)
     return out
 
 
@@ -381,6 +386,21 @@ def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
     else:
         _add_clause(graph, "E" if form == "I" else "A", s.id, p.id)
         witnesses = _witnesses(kb, graph, existential_import)
+    return _first_clash(kb, graph, witnesses)
+
+
+def inconsistency(kb: KnowledgeBase) -> Optional[str]:
+    """The first witness that clashes with nothing denied, as
+    "<witness> reaches <set> and not <set>"; None iff the KB has a model."""
+    graph = _implications(kb)
+    return _first_clash(kb, graph, _witnesses(kb, graph, False))
+
+
+def _first_clash(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
+                 witnesses: Iterable[tuple[str, list[Literal]]]
+                 ) -> Optional[str]:
+    """The first of ``witnesses`` whose units clash, rendered; each
+    distinct list of units is walked once."""
     walked: set[tuple[Literal, ...]] = set()  # units that reached no clash
     for label, units in witnesses:
         key = tuple(units)

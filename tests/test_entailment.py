@@ -14,10 +14,11 @@ import random
 
 import pytest
 
+from exigraph import cli
 from exigraph.kb import Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 from exigraph.qa import PROVEN, Session
-from exigraph.syllogistics import entails
+from exigraph.syllogistics import closure, contradictions, entails
 
 from oracles import oracle_entailment
 
@@ -114,6 +115,28 @@ def test_answers_sound_and_complete_against_the_model_oracle(
     # an unknown entity answers unknown at once; every other entailed
     # answer is proven
     assert gap == unmentioned
+
+
+def test_check_flags_exactly_the_kbs_with_no_model():
+    """``check`` runs closure, then reports contradictions: it must find
+    one on every KB the oracle finds no model for, and on no other."""
+    rng = random.Random(11)
+    for _ in range(300):
+        statements = _random_statements(rng)
+        session = _session(statements, False)
+        no_model = oracle_entailment(TERMS, INDIVIDUALS, statements,
+                                     QUESTIONS, False) is None
+        closure(session.kb)
+        assert bool(contradictions(session.kb)) == no_model, statements
+
+
+def test_check_reports_a_kb_with_no_model(tmp_path, capsys):
+    path = tmp_path / "clash.kb"
+    path.write_text("Some ka are kc.\nAll kc are kb.\nNo kb are kc.\n")
+    assert cli.main(["check", "--kb", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "closure added 4 propositions",
+        "contradiction: some ka are kc reaches kb and not kb"]
 
 
 def test_no_question_changes_the_revision():

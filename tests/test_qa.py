@@ -542,6 +542,43 @@ def test_save_load_save_byte_identical_after_any_script(lines):
             assert a.read() == b.read()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_statement_line(), max_size=12))
+@example(["Some astronauts are socrates.", "lexicon: socrates = astronauts."])
+@example(["Plato is a philosopher.", "lexicon: plato = socrates."])
+def test_save_load_save_byte_identical_after_any_kb_file(lines):
+    """A hand-written file is read as if typed: it loads to what a save
+    writes back, or it is refused."""
+    with tempfile.TemporaryDirectory() as tmp:
+        script, first, second = (os.path.join(tmp, name)
+                                 for name in ("0.kb", "1.kb", "2.kb"))
+        with open(script, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        try:
+            session = load_kb(script)
+        except LoadError:
+            return
+        save_kb(session, first)
+        save_kb(load_kb(first), second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_late_lexicon_entry_in_a_file_is_refused_at_its_line(tmp_path,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "late.kb").write_text(
+        "Plato is a philosopher.\nlexicon: plato = socrates.\n")
+    with pytest.raises(LoadError) as err:
+        load_kb("late.kb")
+    assert err.value.line_no == 2
+    message = ("late.kb:2: lexicon entry would change "
+               "'Plato is a philosopher.' at offset 0")
+    assert str(err.value) == message
+    _, out = run_repl(":load late.kb\n")
+    assert out == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("stored, entry, question", [
     ("Some astronauts are socrates.", "lexicon: socrates = astronauts.",
      "Are any astronauts socrates?"),
