@@ -272,13 +272,15 @@ class KnowledgeBase:
         tolerance); a chain that dead-ends contributes nothing.
         """
         root = self.root
+        outgoing = {element: tuple(by_set.values())
+                    for element, by_set in self._memberships.items()}
 
         def walk(node: int, visited: frozenset[int]) -> Optional[Value3]:
             if node == root.id:
                 return TRUE
             vis = visited | {node}
             contribs: list[Value3] = []
-            for m in self._memberships.get(node, {}).values():
+            for m in outgoing.get(node, ()):
                 if m.set_ in vis:
                     contribs.append(and3(m.value, UNKNOWN))
                 else:
