@@ -10,9 +10,8 @@ front end supports a question-answering dialogue.
 
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3, and3, or3, not3, implies3
 from .kb import KnowledgeBase, Kind, Provenance, ASSERTED, ConflictError
-from .syllogistics import (CategoricalProposition, Mood, valid_moods,
-                           infer_syllogism, eval_proposition, closure,
-                           entails)
+from .syllogistics import (Mood, valid_moods, infer_syllogism,
+                           eval_proposition, closure, entails)
 from .abduction import (Hypothesis, DefeasibleRule, abduce_membership,
                         apply_rules, generalize)
 from .agency import AimClass, Aim, Trigger, classify_aim, fire_triggers, choose
@@ -21,8 +20,8 @@ from .qa import Session, Answer, answer, save_kb, load_kb
 __all__ = [
     "TRUE", "FALSE", "UNKNOWN", "Value3", "and3", "or3", "not3", "implies3",
     "KnowledgeBase", "Kind", "Provenance", "ASSERTED", "ConflictError",
-    "CategoricalProposition", "Mood", "valid_moods", "infer_syllogism",
-    "eval_proposition", "closure", "entails",
+    "Mood", "valid_moods", "infer_syllogism", "eval_proposition", "closure",
+    "entails",
     "Hypothesis", "DefeasibleRule", "abduce_membership", "apply_rules",
     "generalize",
     "AimClass", "Aim", "Trigger", "classify_aim", "fire_triggers", "choose",

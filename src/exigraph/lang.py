@@ -275,15 +275,12 @@ class _Tok:
     start: int
 
 
+# the line up to its first unquoted "#"; an unclosed quote runs to the end
+_UNCOMMENTED = re.compile(r'(?:"[^"]*(?:"|$)|[^"#])*')
+
+
 def _strip_comment(line: str) -> str:
-    out, quoted = [], False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        if ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out).rstrip()
+    return _UNCOMMENTED.match(line).group().rstrip()
 
 
 def _tokens(text: str, base: int = 0) -> list[_Tok]:

@@ -465,7 +465,8 @@ def load_kb(path: str, existential_import: bool = False) -> Session:
         raise LoadError(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
     session = Session(existential_import=existential_import)
     for line_no, line in enumerate(raw, start=1):
-        if not lang._strip_comment(line).strip():
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         try:
             session.assert_line(line)

@@ -51,21 +51,6 @@ _MIDDLE = {figure: (maj.index("M"), mnr.index("M"))
 
 
 @dataclass(frozen=True)
-class CategoricalProposition:
-    """A/E/I/O statement over two set-denoting entities."""
-
-    form: str
-    subject: Entity
-    predicate: Entity
-
-    def __post_init__(self):
-        if self.form not in FORMS:
-            raise ValueError(f"bad form {self.form!r}")
-        if self.subject.id == self.predicate.id:
-            raise ValueError("trivial self-proposition rejected")
-
-
-@dataclass(frozen=True)
 class Mood:
     figure: int
     forms: tuple[str, str, str]  # major, minor, conclusion
@@ -126,15 +111,15 @@ def _moods_by_premises(existential_import: bool
     return out
 
 
-def infer_syllogism(major: CategoricalProposition,
-                    minor: CategoricalProposition, mood: Mood,
+def infer_syllogism(major: Proposition, minor: Proposition, mood: Mood,
                     inhabited: Collection[int]
-                    ) -> Optional[CategoricalProposition]:
-    """Apply one mood to a premise pair; None if the premises don't fit.
+                    ) -> Optional[tuple[str, int, int]]:
+    """Apply one mood to two stored premises; None if they don't fit.
 
-    A mood with an import term fires only when that term is in
-    ``inhabited``, the ids of the sets known to have a member.
-    Raises :class:`InvalidMoodError` for a mood not in the table.
+    The conclusion is ``(form, subject id, predicate id)``, the key the KB
+    stores a proposition under.  A mood with an import term fires only
+    when that term is in ``inhabited``, the ids of the sets known to have
+    a member.  Raises :class:`InvalidMoodError` for a mood not in the table.
     """
     if mood not in _moods_by_premises(True).get(
             (mood.figure, *mood.forms[:2]), ()):
@@ -145,37 +130,35 @@ def infer_syllogism(major: CategoricalProposition,
     maj_terms = (major.subject, major.predicate)
     min_terms = (minor.subject, minor.predicate)
     m = maj_terms[at]
-    if min_terms[mid].id != m.id:
-        return None
     s, p = min_terms[1 - mid], maj_terms[1 - at]
-    if s.id == p.id:
+    if min_terms[mid] != m or s == p:
         return None
-    if mood.import_term is not None:
-        restricted = {"S": s, "M": m, "P": p}[mood.import_term]
-        if restricted.id not in inhabited:
-            return None
-    return CategoricalProposition(mood.forms[2], s, p)
+    if mood.import_term is not None \
+            and {"S": s, "M": m, "P": p}[mood.import_term] not in inhabited:
+        return None
+    return mood.forms[2], s, p
 
 
-def eval_proposition(kb: KnowledgeBase, p: CategoricalProposition) -> Value3:
-    """Three-valued status of a categorical proposition read off the stored
-    memberships and propositions, with no inference.  It serves ``check``
-    through :func:`contradictions`; questions are settled by :func:`entails`.
+def eval_proposition(kb: KnowledgeBase, form: str, s: Entity,
+                     p: Entity) -> Value3:
+    """Three-valued status of ``form(s, p)`` over sets ``s`` and ``p``,
+    read off the stored memberships and propositions with no inference.
+    It takes :func:`entails`'s arguments and serves ``check`` through
+    :func:`contradictions`; questions are settled by :func:`entails`.
 
     A membership counterexample defeats a universal even when the
     proposition is also stored TRUE (the pair then shows up in
     :func:`contradictions` instead of being silently resolved); a
     membership witness settles a particular.
     """
-    subj, pred = p.subject, p.predicate
     # A and O look for a known member outside the predicate, E and I inside
-    witness = FALSE if p.form in ("A", "O") else TRUE
-    if any(kb.exists(e, pred) is witness for e in kb.members_true(subj)):
-        return FALSE if p.form in ("A", "E") else TRUE
-    stored = kb.proposition(p.form, subj, pred)
+    witness = FALSE if form in ("A", "O") else TRUE
+    if any(kb.exists(e, p) is witness for e in kb.members_true(s)):
+        return FALSE if form in ("A", "E") else TRUE
+    stored = kb.proposition(form, s, p)
     if stored is not None and stored.value.is_definite():
         return stored.value
-    stored_contrary = kb.proposition(CONTRADICTORY[p.form], subj, pred)
+    stored_contrary = kb.proposition(CONTRADICTORY[form], s, p)
     if stored_contrary is not None and stored_contrary.value is TRUE:
         return FALSE
     return UNKNOWN
@@ -207,15 +190,10 @@ def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
                     for figure in sorted(FIGURES) for other in FORMS
                     if (key := (figure, form, other)) in moods]
              for form in FORMS}
-    props: dict[str, CategoricalProposition] = {}
     added = 0
     fresh: Optional[set[str]] = None  # ids the previous round added
     while True:
         stored = [s for s in kb.propositions() if s.value is TRUE]
-        for s in stored:
-            if s.id not in props:
-                props[s.id] = CategoricalProposition(
-                    s.form, kb.by_id(s.subject), kb.by_id(s.predicate))
         # (term id, 0 subject / 1 predicate, form) -> positions in stored,
         # over every stored proposition and over the previous round's
         every: dict[tuple[int, int, str], list[int]] = {}
@@ -229,23 +207,22 @@ def closure(kb: KnowledgeBase, existential_import: bool = False) -> int:
         for maj in stored:
             index = every if fresh is None or maj.id in fresh else delta
             terms = (maj.subject, maj.predicate)
-            major = props[maj.id]
             # (j, figure) is unique, so the moods are never compared
             for j, _, fits in sorted(
                     (j, figure, fits)
                     for figure, at, mid, form, fits in joins[maj.form]
                     for j in index.get((terms[at], mid, form), ())):
                 mnr = stored[j]
-                minor = props[mnr.id]
                 for mood in fits:
-                    concl = infer_syllogism(major, minor, mood, inhabited)
-                    if concl is None or kb.proposition(
-                            concl.form, concl.subject,
-                            concl.predicate) is not None:
+                    concl = infer_syllogism(maj, mnr, mood, inhabited)
+                    if concl is None:
                         continue
-                    fired.add(kb.assert_proposition(
-                        concl.form, concl.subject, concl.predicate, TRUE,
-                        Provenance(Kind.DEDUCED, (maj.id, mnr.id))))
+                    form, s, p = concl
+                    s, p = kb.by_id(s), kb.by_id(p)
+                    if kb.proposition(form, s, p) is None:
+                        fired.add(kb.assert_proposition(
+                            form, s, p, TRUE,
+                            Provenance(Kind.DEDUCED, (maj.id, mnr.id))))
         if not fired:
             return added
         added += len(fired)
@@ -259,18 +236,18 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
     that clashes (:func:`inconsistency`), so, abduced items aside, the list
     is empty iff the KB has a model."""
     out = []
-    for s in kb.propositions():
-        if s.value is not TRUE or s.form not in ("A", "E"):
+    for q in kb.propositions():
+        if q.value is not TRUE or q.form not in ("A", "E"):
             continue
-        p = CategoricalProposition(s.form, kb.by_id(s.subject), kb.by_id(s.predicate))
+        s, p = kb.by_id(q.subject), kb.by_id(q.predicate)
         # stored TRUE, so only a membership counterexample makes it FALSE
-        if eval_proposition(kb, p) is FALSE:
-            out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
+        if eval_proposition(kb, q.form, s, p) is FALSE:
+            out.append(f"{q.form}({s.label}, {p.label}) "
                        f"stored true but defeated by a membership counterexample")
-        other = kb.proposition(CONTRADICTORY[s.form], p.subject, p.predicate)
+        other = kb.proposition(CONTRADICTORY[q.form], s, p)
         if other is not None and other.value is TRUE:
-            out.append(f"{s.form}({kb.label(s.subject)}, {kb.label(s.predicate)}) "
-                       f"and its contrary {CONTRADICTORY[s.form]} are both stored true")
+            out.append(f"{q.form}({s.label}, {p.label}) "
+                       f"and its contrary {CONTRADICTORY[q.form]} are both stored true")
     if not out and (clash := inconsistency(kb)) is not None:
         out.append(clash)
     return out

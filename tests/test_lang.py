@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -66,6 +68,28 @@ def test_lexicon_applies_to_terms():
 def test_comments_and_case_insensitivity():
     assert parse_statement("ALL MEN ARE MORTAL.  # classic") \
         == CategoricalStmt("A", "men", "mortal")
+
+
+def test_strip_comment_matches_a_character_loop():
+    # a quoted "#" is kept and an unclosed quote runs to the end of the line
+    def reference(line):
+        out, quoted = [], False
+        for ch in line:
+            if ch == '"':
+                quoted = not quoted
+            if ch == "#" and not quoted:
+                break
+            out.append(ch)
+        return "".join(out).rstrip()
+
+    for n in range(8):
+        for chars in itertools.product('a "#', repeat=n):
+            line = "".join(chars)
+            assert lang._strip_comment(line) == reference(line), line
+            # load_kb skips a line by this cheaper test
+            stripped = line.strip()
+            assert (not reference(line)) \
+                == (not stripped or stripped.startswith("#")), line
 
 
 def test_missing_period_reports_offset():

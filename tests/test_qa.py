@@ -564,6 +564,22 @@ def test_save_load_save_byte_identical_after_any_kb_file(lines):
             assert a.read() == b.read()
 
 
+def test_blank_and_comment_lines_of_a_kb_file_are_skipped(tmp_path):
+    statements = ["Socrates is a man.", 'All men are mortal.  # see "#2"']
+    path = tmp_path / "commented.kb"
+    path.write_text(f"   # an indented comment\n{statements[0]}\n\t\n"
+                    f"{statements[1]}\n")
+    typed = Session()
+    for line in statements:
+        typed.assert_line(line)
+    loaded = load_kb(str(path))
+    assert list(loaded.kb.items()) == list(typed.kb.items())
+    save_kb(typed, str(tmp_path / "typed.kb"))
+    save_kb(loaded, str(tmp_path / "loaded.kb"))
+    assert (tmp_path / "loaded.kb").read_text() \
+        == (tmp_path / "typed.kb").read_text()
+
+
 def test_late_lexicon_entry_in_a_file_is_refused_at_its_line(tmp_path,
                                                               monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -5,22 +5,32 @@ import pytest
 from exigraph import syllogistics
 from exigraph.kb import ASSERTED, Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
-from exigraph.syllogistics import (CategoricalProposition, InvalidMoodError,
-                                   Mood, closure, contradictions,
-                                   eval_proposition, infer_syllogism,
-                                   valid_moods)
+from exigraph.syllogistics import (InvalidMoodError, Mood, closure,
+                                   contradictions, eval_proposition,
+                                   infer_syllogism, valid_moods)
 
 from oracles import (_oracle_moods, oracle_closure, oracle_countermodel,
                      oracle_mood_names)
 
 
-def prop(kb, form, s, p):
-    return CategoricalProposition(form, kb.upsert_entity(s), kb.upsert_entity(p))
-
-
 def store(kb, form, s, p, value=TRUE, prov=ASSERTED):
     kb.assert_proposition(form, kb.upsert_entity(s), kb.upsert_entity(p),
                           value, prov)
+
+
+def prop(kb, form, s, p):
+    """Store ``form(s, p)`` TRUE and return its row."""
+    store(kb, form, s, p)
+    return kb.proposition(form, kb.entity(s), kb.entity(p))
+
+
+def key(kb, form, s, p):
+    """The KB's key of ``form(s, p)``: (form, subject id, predicate id)."""
+    return form, kb.upsert_entity(s).id, kb.upsert_entity(p).id
+
+
+def evaluate(kb, form, s, p):
+    return eval_proposition(kb, form, kb.upsert_entity(s), kb.upsert_entity(p))
 
 
 # -- the mood table -------------------------------------------------------
@@ -78,7 +88,7 @@ def test_barbara():
     kb = KnowledgeBase()
     concl = infer_syllogism(prop(kb, "A", "men", "mortal"),
                             prop(kb, "A", "greeks", "men"), mood("AAA-1"), ())
-    assert concl == prop(kb, "A", "greeks", "mortal")
+    assert concl == key(kb, "A", "greeks", "mortal")
 
 
 def test_darapti_needs_a_known_member():
@@ -88,10 +98,9 @@ def test_darapti_needs_a_known_member():
     m = kb.entity("m")
     assert infer_syllogism(major, minor, mood("AAI-3"), ()) is None
     assert infer_syllogism(major, minor, mood("AAI-3"), {m.id}) \
-        == prop(kb, "I", "s", "p")
-    # closure reads which sets have a known member off the KB
-    store(kb, "A", "m", "p")
-    store(kb, "A", "m", "s")
+        == key(kb, "I", "s", "p")
+    # closure reads which sets have a known member off the KB; the two
+    # premises are stored already
     assert closure(kb, True) == 0
     kb.assert_membership(kb.upsert_entity("x"), m, TRUE)
     assert closure(kb, True) > 0
@@ -120,7 +129,7 @@ def test_eval_after_closure():
     store(kb, "A", "men", "mortal")
     store(kb, "A", "greeks", "men")
     closure(kb)
-    assert eval_proposition(kb, prop(kb, "A", "greeks", "mortal")) is TRUE
+    assert evaluate(kb, "A", "greeks", "mortal") is TRUE
 
 
 def test_eval_counterexample_beats_store():
@@ -128,21 +137,21 @@ def test_eval_counterexample_beats_store():
     store(kb, "A", "s", "p")
     kb.assert_membership(kb.upsert_entity("socrates"), kb.upsert_entity("s"), TRUE)
     kb.assert_membership(kb.upsert_entity("socrates"), kb.upsert_entity("p"), FALSE)
-    assert eval_proposition(kb, prop(kb, "A", "s", "p")) is FALSE
+    assert evaluate(kb, "A", "s", "p") is FALSE
     assert contradictions(kb)  # reported, not silently resolved
 
 
 def test_eval_fresh_pair_unknown():
     kb = KnowledgeBase()
-    assert eval_proposition(kb, prop(kb, "A", "x", "y")) is UNKNOWN
+    assert evaluate(kb, "A", "x", "y") is UNKNOWN
 
 
 def test_eval_particular_witness():
     kb = KnowledgeBase()
     kb.assert_membership(kb.upsert_entity("x"), kb.upsert_entity("s"), TRUE)
     kb.assert_membership(kb.upsert_entity("x"), kb.upsert_entity("p"), TRUE)
-    assert eval_proposition(kb, prop(kb, "I", "s", "p")) is TRUE
-    assert eval_proposition(kb, prop(kb, "E", "s", "p")) is FALSE
+    assert evaluate(kb, "I", "s", "p") is TRUE
+    assert evaluate(kb, "E", "s", "p") is FALSE
 
 
 # -- closure --------------------------------------------------------------
