@@ -12,7 +12,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .kb import Edge, Entity, Kind, KnowledgeBase, Provenance
 from .logic3 import TRUE, UNKNOWN
@@ -74,15 +74,6 @@ def _properties(kb: KnowledgeBase, ent: Entity) -> dict[tuple, str]:
     return props
 
 
-def _held_by_all(kb: KnowledgeBase, entities: list[Entity]
-                 ) -> tuple[list[dict[tuple, str]], set[tuple]]:
-    """Each entity's :func:`_properties`, and the tags all of them hold
-    (none when there are no entities)."""
-    per_entity = [_properties(kb, e) for e in entities]
-    common = set.intersection(*map(set, per_entity)) if per_entity else set()
-    return per_entity, common
-
-
 def _prop_sort_key(kb: KnowledgeBase, tag: tuple) -> tuple:
     if tag[0] == "rel":
         return ("rel", tag[1], kb.label(tag[2]))
@@ -104,16 +95,20 @@ def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
     the first of ``elements`` it makes one for, or None.
 
     The members of ``set_`` are read once, however many elements are
-    tried, so asking about one set costs the same whatever else the KB
-    holds.
+    tried, and only until they share nothing; item ids are fetched only
+    for the properties that make the hypothesis.  So asking about one set
+    costs the same whatever else the KB holds, and a set whose members
+    share nothing costs a few of them.
     """
-    member_props = common = None
+    members = common = None  # read at the first element tried
     for x in elements:
         if x.id == set_.id or kb.exists(x, set_) is TRUE:
             continue
-        if member_props is None:
-            member_props, common = _held_by_all(kb, kb.members_true(set_))
-            common.discard(("mem", set_.id))
+        if common is None:
+            members = kb.members_true(set_)
+            common = _shared(kb, members, but=[("mem", set_.id)])
+        if not common:
+            return None
         x_props = _properties(kb, x)
         shared = sorted(common & x_props.keys(),
                         key=lambda t: _prop_sort_key(kb, t))
@@ -122,11 +117,33 @@ def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
         evidence = []
         for tag in shared:
             evidence.append(x_props[tag])
-            evidence.extend(props[tag] for props in member_props)
+            evidence.extend(_holder(kb, m, tag) for m in members)
         return Hypothesis(MembershipProposal(x, set_),
                           tuple(dict.fromkeys(evidence)),
-                          (len(shared), len(member_props)))
+                          (len(shared), len(members)))
     return None
+
+
+def _shared(kb: KnowledgeBase, entities: list[Entity],
+            but: Iterable[tuple] = ()) -> set[tuple]:
+    """The tags all of ``entities`` hold, less those in ``but`` (none when
+    there are no entities): intersected one entity at a time, until none
+    is left."""
+    common: Optional[set[tuple]] = None
+    for ent in entities:
+        props = _properties(kb, ent).keys()
+        common = set(props).difference(but) if common is None \
+            else common & props
+        if not common:
+            break
+    return common or set()
+
+
+def _holder(kb: KnowledgeBase, ent: Entity, tag: tuple) -> str:
+    """The id of the item that gives ``ent`` the property ``tag``."""
+    if tag[0] == "rel":
+        return kb.edge(tag[1], ent, kb.by_id(tag[2])).id
+    return kb.membership(ent, kb.by_id(tag[1])).id
 
 
 def rule_edges(rules: list[DefeasibleRule], edges: list[Edge]) -> list[Edge]:
@@ -177,7 +194,7 @@ def generalize(elements: list[Entity], kb: KnowledgeBase) -> Optional[Hypothesis
     """
     if len(elements) < 2:
         raise TooFewElementsError("generalization needs at least 2 elements")
-    per_element, common = _held_by_all(kb, elements)
+    common = _shared(kb, elements)
     if not common:
         return None
     shared = sorted(common, key=lambda t: _prop_sort_key(kb, t))
@@ -186,7 +203,7 @@ def generalize(elements: list[Entity], kb: KnowledgeBase) -> Optional[Hypothesis
         label = f"{best[1]} {kb.label(best[2])}".replace(" ", "-")
     else:
         label = f"in-{kb.label(best[1])}".replace(" ", "-")
-    evidence = tuple(dict.fromkeys(props[best] for props in per_element))
+    evidence = tuple(dict.fromkeys(_holder(kb, ent, best) for ent in elements))
     set_ = kb.upsert_entity(label)
     for ent in elements:
         if kb.membership(ent, set_) is None:

@@ -15,19 +15,41 @@ Memberships are keyed element -> set and edges source -> (name, target),
 so an entity's own rows are one lookup away.  The same write also files
 the item in a reverse map, memberships set -> element and edges target ->
 (name, source), so a set's members and the edges into an entity are one
-lookup away too.  Only this module reads the maps: others call
-``memberships(e)``, ``edges(e)``, ``members_true(s)`` or ``edges_into(t)``.
-Every admitted write bumps the revision, and the item it stores is named
-after the revision it creates (``#<revision>``); a refused write moves
-neither.
+lookup away too.
+
+The KB also keeps the index that :func:`~exigraph.syllogistics.entails`
+reads, so a question walks it instead of rebuilding it from every row.
+An item is *stated* when it is TRUE and not abduced; a membership is a
+*unit* when it is definite and not abduced.
+
+- Each stated A or E proposition files its two implications between
+  literals (:func:`clauses`) in :meth:`implications`.  Each literal's
+  list is in :meth:`propositions` order, and a literal no stated row
+  mentions has no list.
+- Each stated I or O proposition is filed in :meth:`particulars`, in
+  :meth:`propositions` order.
+- Elements holding the same units share a :class:`UnitClass`, which
+  also keeps the lowest of their labels (:meth:`unit_classes`).  A
+  membership write only marks its element; the next read of the classes
+  re-files the marked elements, so writes stay as cheap as they were and
+  a read costs what changed since the last one.
+
+An overwrite that makes a row stop qualifying takes it out of the index.
+Only this module reads the maps: others call ``memberships(e)``,
+``edges(e)``, ``members_true(s)``, ``edges_into(t)``, ``implications()``,
+``particulars()``, ``units(e)`` or ``unit_classes()``, and read what the
+last four return without changing it.  Every admitted write bumps the
+revision, and the item it stores is named after the revision it creates
+(``#<revision>``); a refused write moves neither.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3, and3, any3
 
@@ -113,6 +135,30 @@ def canonical_label(label: str) -> str:
     return _WS.sub(" ", label.strip().lower())
 
 
+Literal = tuple[int, bool]  # (set entity id, in the set?)
+
+
+def clauses(form: str, s: int, p: int) -> tuple[tuple[Literal, Literal], ...]:
+    """The implications ``form(s, p)`` gives, for A or E: A gives s -> p
+    and not p -> not s, E gives s -> not p and p -> not s."""
+    inside = form == "A"
+    return ((s, True), (p, inside)), ((p, not inside), (s, False))
+
+
+@dataclass
+class UnitClass:
+    """Elements holding the same units (``units``, in set label order);
+    ``first`` is the lowest of their labels."""
+
+    units: tuple[Literal, ...]
+    elements: set[int]
+    first: str
+
+
+def _stated(row: Proposition) -> bool:
+    return row.value is TRUE and row.provenance.kind is not Kind.ABDUCED
+
+
 class KnowledgeBase:
     """Entity graph with three-valued assertions and provenance."""
 
@@ -124,6 +170,16 @@ class KnowledgeBase:
         self._edges: dict[int, dict[tuple[str, int], Edge]] = {}
         self._edges_into: dict[int, dict[tuple[str, int], Edge]] = {}
         self._propositions: dict[tuple[str, int, int], Proposition] = {}
+        # the entailment index; each list beside the (form, subject label,
+        # predicate label) of the rows it holds, for filing them in order
+        self._implies: dict[Literal, list[Literal]] = {}
+        self._implies_keys: dict[Literal, list[tuple[str, str, str]]] = {}
+        self._particulars: list[Proposition] = []
+        self._particular_keys: list[tuple[str, str, str]] = []
+        # units -> the class holding them; element -> its units
+        self._classes: dict[frozenset[Literal], UnitClass] = {}
+        self._class_of: dict[int, frozenset[Literal]] = {}
+        self._unfiled: set[int] = set()  # elements written since the last read
         self._revision = 0
         self._next_entity = 1
         # the distinguished root; anchors existence_degree axiomatically
@@ -177,6 +233,7 @@ class KnowledgeBase:
         item = Membership(self._new_id(), element.id, set_.id, value, provenance)
         self._memberships.setdefault(element.id, {})[set_.id] = item
         self._members.setdefault(set_.id, {})[element.id] = item
+        self._unfiled.add(element.id)
         return item.id
 
     def assert_edge(self, name: str, from_: Entity, to: Entity,
@@ -205,7 +262,24 @@ class KnowledgeBase:
         item = Proposition(self._new_id(), form, subject.id, predicate.id,
                            value, provenance)
         self._propositions[key] = item
+        if old is not None and _stated(old):
+            self._index(old, False)
+        if _stated(item):
+            self._index(item, True)
         return item.id
+
+    def _index(self, row: Proposition, filed: bool) -> None:
+        """File a stated row in the entailment index, or take it out."""
+        key = (row.form, self.label(row.subject), self.label(row.predicate))
+        if row.form in ("I", "O"):
+            _refile(self._particular_keys, self._particulars, key, row, filed)
+            return
+        for src, dst in clauses(row.form, row.subject, row.predicate):
+            keys = self._implies_keys.setdefault(src, [])
+            lits = self._implies.setdefault(src, [])
+            _refile(keys, lits, key, dst, filed)
+            if not keys:
+                del self._implies_keys[src], self._implies[src]
 
     # -- reads ------------------------------------------------------------
 
@@ -245,6 +319,61 @@ class KnowledgeBase:
 
     def proposition(self, form: str, subject: Entity, predicate: Entity) -> Optional[Proposition]:
         return self._propositions.get((form, subject.id, predicate.id))
+
+    def implications(self) -> dict[Literal, list[Literal]]:
+        """Each literal's implications, from the stated A and E rows."""
+        return self._implies
+
+    def particulars(self) -> list[Proposition]:
+        """The stated I and O rows, in :meth:`propositions` order."""
+        return self._particulars
+
+    def units(self, element: Entity) -> tuple[Literal, ...]:
+        """``element``'s units, in set label order."""
+        return self._in_label_order(self._units(element.id))
+
+    def unit_classes(self) -> Collection[UnitClass]:
+        """The classes of elements holding the same units; elements with
+        no units are in none."""
+        self._file_classes()
+        return self._classes.values()
+
+    def _file_classes(self) -> None:
+        stale = set()  # classes their first element left
+        for element in self._unfiled:
+            label = self.label(element)
+            old = self._class_of.pop(element, None)
+            if old is not None:
+                cls = self._classes[old]
+                cls.elements.discard(element)
+                if not cls.elements:
+                    del self._classes[old]
+                elif cls.first == label:
+                    stale.add(old)
+            units = frozenset(self._units(element))
+            if not units:
+                continue
+            self._class_of[element] = units
+            if units not in self._classes:
+                self._classes[units] = UnitClass(self._in_label_order(units),
+                                                 set(), label)
+            cls = self._classes[units]
+            cls.elements.add(element)
+            cls.first = min(cls.first, label)
+        for units in stale & self._classes.keys():
+            cls = self._classes[units]
+            cls.first = min(map(self.label, cls.elements))
+        self._unfiled.clear()
+
+    def _units(self, element: int) -> Iterator[Literal]:
+        return ((m.set_, m.value is TRUE)
+                for m in self._memberships.get(element, {}).values()
+                if m.value.is_definite()
+                and m.provenance.kind is not Kind.ABDUCED)
+
+    def _in_label_order(self, units: Iterable[Literal]
+                        ) -> tuple[Literal, ...]:
+        return tuple(sorted(units, key=lambda u: self.label(u[0])))
 
     def label(self, entity_id: int) -> str:
         return self._entities[entity_id].label
@@ -306,3 +435,14 @@ class KnowledgeBase:
         metas = {self._entities[set_] for element, set_ in live
                  if element in nonempty}
         return sorted(metas, key=lambda e: e.label)
+
+
+def _refile(keys: list, values: list, key, value, filed: bool) -> None:
+    """Insert ``value`` at ``key``'s place in the sorted ``keys``, or
+    remove the value filed there."""
+    at = bisect.bisect_left(keys, key)
+    if filed:
+        keys.insert(at, key)
+        values.insert(at, value)
+    else:
+        del keys[at], values[at]

@@ -82,16 +82,26 @@ class Session:
     def assert_line(self, line: str) -> tuple[int, list]:
         """Parse and apply one statement line; returns (revision, fired aims).
 
-        This is the one way a statement reaches the session: typed in the
-        REPL or read from a KB file by :func:`load_kb`.  A refused line
-        raises (:class:`~exigraph.lang.ParseError` or
-        :class:`~exigraph.kb.KbError`) and leaves the session as it was.  A
-        lexicon entry is refused when it has a cycle, or when it would
+        The REPL and the CLI apply a typed statement here.
+        :func:`load_kb` applies each line of a KB file through
+        :meth:`_apply_line`, the same steps without the triggers, since a
+        load prints nothing per line.  A refused line raises
+        (:class:`~exigraph.lang.ParseError` or
+        :class:`~exigraph.kb.KbError`) and leaves the session as it was.
+        """
+        event = self._apply_line(line)
+        aims = fire_triggers(event, self.triggers) if event else []
+        return self.kb.revision, aims
+
+    def _apply_line(self, line: str) -> Optional[tuple[str, str, str]]:
+        """Parse and apply one statement line; returns the (subject, verb,
+        object) an SPO statement states, for the triggers, else None.
+
+        A lexicon entry is refused when it has a cycle, or when it would
         change how a stored statement reads back: a saved file lists the
         lexicon first.
         """
         ast = lang.parse_statement(line, self.lexicon)
-        aims: list = []
         if isinstance(ast, lang.LexiconStmt):
             # a saved file lists the lexicon first: no stored line may change
             trial = copy.deepcopy(self.lexicon)
@@ -131,11 +141,10 @@ class Session:
             item = self.kb.assert_edge(ast.verb, subj, obj, TRUE, ASSERTED)
             self._head_link(subj, item)
             self._head_link(obj, item)
-            aims = fire_triggers((subj.label, ast.verb, obj.label),
-                                 self.triggers)
+            return subj.label, ast.verb, obj.label
         else:
             raise TypeError(f"not a statement AST: {ast!r}")
-        return self.kb.revision, aims
+        return None
 
     def _head_link(self, phrase: Entity, source: Optional[str]) -> None:
         """A multi-word noun phrase denotes a subset of its head noun."""
@@ -453,10 +462,10 @@ def save_kb(session: Session, path: str) -> int:
 
 def load_kb(path: str, existential_import: bool = False) -> Session:
     """Read a KB file as a script: every line that is not blank or a
-    comment goes through :meth:`Session.assert_line` of a fresh session, as
-    if it were typed, so a file is refused where the REPL would refuse the
-    line.  Atomic (a bad line leaves nothing loaded); the error names the
-    first bad line."""
+    comment is applied to a fresh session as :meth:`Session.assert_line`
+    applies a typed line, so a file is refused where the REPL would refuse
+    the line; no trigger fires.  Atomic (a bad line leaves nothing
+    loaded); the error names the first bad line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -469,7 +478,7 @@ def load_kb(path: str, existential_import: bool = False) -> Session:
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            session.assert_line(line)
+            session._apply_line(line)
         except Exception as exc:
             raise LoadError(path, line_no, exc) from exc
     return session

@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
-from .kb import (Entity, Kind, KnowledgeBase, Membership, Proposition,
-                 Provenance)
+from .kb import (Entity, Kind, KnowledgeBase, Literal, Proposition,
+                 Provenance, clauses)
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3
 
 FORMS = ("A", "E", "I", "O")
@@ -266,38 +266,14 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
 # 1979; Pratt-Hartmann & Moss 2009).  A claim is entailed iff the KB plus
 # its denial has no model.  Whether a walk clashes depends only on the
 # graph and the units, so witnesses with the same units share one walk.
-
-Literal = tuple[int, bool]  # (set entity id, in the set?)
-
-
-def _stated(q: Proposition, forms: str) -> bool:
-    """A stored TRUE, non-abduced proposition of one of ``forms``."""
-    return q.form in forms and q.value is TRUE \
-        and q.provenance.kind is not Kind.ABDUCED
+#
+# The KB keeps the implications, the stated I and O rows and the classes of
+# elements with the same units, filed by the writes that store the rows
+# (see ``kb``).  A check only reads them: the denial of I or O is laid over
+# a copy of the graph's top level, never written into the KB's lists.
 
 
-def _units(rows: Iterable[Membership]) -> list[Literal]:
-    """An element's definite, non-abduced memberships as unit literals."""
-    return [(m.set_, m.value is TRUE) for m in rows
-            if m.value.is_definite() and m.provenance.kind is not Kind.ABDUCED]
-
-
-def _implications(kb: KnowledgeBase) -> dict[Literal, list[Literal]]:
-    graph: dict[Literal, list[Literal]] = {}
-    for q in kb.propositions():
-        if _stated(q, "AE"):
-            _add_clause(graph, q.form, q.subject, q.predicate)
-    return graph
-
-
-def _add_clause(graph: dict[Literal, list[Literal]], form: str, s: int,
-                p: int) -> None:
-    inside = form == "A"
-    graph.setdefault((s, True), []).append((p, inside))
-    graph.setdefault((p, not inside), []).append((s, False))
-
-
-def _clash(graph: dict[Literal, list[Literal]], units: list[Literal]
+def _clash(graph: dict[Literal, list[Literal]], units: Sequence[Literal]
            ) -> Optional[int]:
     """A set the units reach both in and out of, or None."""
     seen = set(units)
@@ -319,24 +295,6 @@ def _some(s: Entity, p: Entity, inside: bool) -> tuple[str, list[Literal]]:
             [(s.id, True), (p.id, inside)])
 
 
-def _witnesses(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
-               existential_import: bool) -> Iterator[tuple[str, list[Literal]]]:
-    """(label, units) of every witness: each I and O, each element, and
-    with existential import each set the implications mention."""
-    for q in kb.propositions():
-        if _stated(q, "IO"):
-            yield _some(kb.by_id(q.subject), kb.by_id(q.predicate),
-                        q.form == "I")
-    for element, rows in itertools.groupby(kb.memberships(),
-                                           key=lambda m: m.element):
-        units = _units(rows)
-        if units:
-            yield kb.label(element), units
-    if existential_import:
-        for set_ in sorted({s for s, _ in graph}, key=kb.label):
-            yield f"some {kb.label(set_)}", [(set_, True)]
-
-
 def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
             existential_import: bool = False) -> Optional[str]:
     """Whether the KB's stored TRUE propositions and definite memberships
@@ -349,42 +307,73 @@ def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
     first, so a KB that contradicts itself there says so); the denial of
     I and O is one more clause, checked against every witness.  With
     ``existential_import`` every set is nonempty: one witness {t} per set.
-    Witnesses are read in order and each distinct list of units is walked
-    once: many elements often hold the same memberships.  Nothing outlives
-    the call and nothing is written: each call reads the KB afresh.
+    The check reads the index the KB keeps and writes nothing, so its cost
+    follows the number of distinct witnesses, not of elements.
     """
-    graph = _implications(kb)
+    graph = kb.implications()
     if form in ("in", "out"):
-        units = _units(kb.memberships(s))
-        witnesses = [(s.label, units),
-                     (s.label, units + [(p.id, form == "out")])]
-    elif form in ("A", "E"):
-        witnesses = [_some(s, p, form == "E")]
-    else:
-        _add_clause(graph, "E" if form == "I" else "A", s.id, p.id)
-        witnesses = _witnesses(kb, graph, existential_import)
-    return _first_clash(kb, graph, witnesses)
+        units = list(kb.units(s))
+        return _first_clash(kb, graph, [
+            (s.label, units), (s.label, units + [(p.id, form == "out")])])
+    if form in ("A", "E"):
+        return _first_clash(kb, graph, [_some(s, p, form == "E")])
+    graph = dict(graph)
+    for src, dst in clauses("E" if form == "I" else "A", s.id, p.id):
+        graph[src] = [*graph.get(src, ()), dst]
+    return _witness_clash(kb, graph, existential_import)
 
 
 def inconsistency(kb: KnowledgeBase) -> Optional[str]:
     """The first witness that clashes with nothing denied, as
     "<witness> reaches <set> and not <set>"; None iff the KB has a model."""
-    graph = _implications(kb)
-    return _first_clash(kb, graph, _witnesses(kb, graph, False))
+    return _witness_clash(kb, kb.implications(), False)
+
+
+def _witness_clash(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
+                   existential_import: bool) -> Optional[str]:
+    """The first witness that clashes, rendered: each stated I and O, then
+    the elements in label order, then with existential import each set the
+    graph mentions.  Each class of elements is walked once, and a clash
+    names its lowest-label element, the one a walk per element in label
+    order would meet first."""
+    walked: set[tuple[Literal, ...]] = set()
+    found = _first_clash(kb, graph, [
+        _some(kb.by_id(q.subject), kb.by_id(q.predicate), q.form == "I")
+        for q in kb.particulars()], walked)
+    if found is not None:
+        return found
+    clashes = []
+    for cls in kb.unit_classes():
+        if cls.units not in walked \
+                and (set_ := _clash(graph, cls.units)) is not None:
+            clashes.append((cls.first, set_))
+        walked.add(cls.units)
+    if clashes:
+        return _render(kb, *min(clashes))
+    if not existential_import:
+        return None
+    return _first_clash(kb, graph, [
+        (f"some {kb.label(set_)}", [(set_, True)])
+        for set_ in sorted({set_ for set_, _ in graph}, key=kb.label)], walked)
 
 
 def _first_clash(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
-                 witnesses: Iterable[tuple[str, list[Literal]]]
+                 witnesses: Iterable[tuple[str, list[Literal]]],
+                 walked: Optional[set[tuple[Literal, ...]]] = None
                  ) -> Optional[str]:
-    """The first of ``witnesses`` whose units clash, rendered; each
-    distinct list of units is walked once."""
-    walked: set[tuple[Literal, ...]] = set()  # units that reached no clash
+    """The first of ``witnesses`` whose units clash, rendered; units in
+    ``walked``, which reached no clash before, are not walked again."""
+    walked = set() if walked is None else walked
     for label, units in witnesses:
         key = tuple(units)
         if key in walked:
             continue
         set_ = _clash(graph, units)
         if set_ is not None:
-            return f"{label} reaches {kb.label(set_)} and not {kb.label(set_)}"
+            return _render(kb, label, set_)
         walked.add(key)
     return None
+
+
+def _render(kb: KnowledgeBase, witness: str, set_: int) -> str:
+    return f"{witness} reaches {kb.label(set_)} and not {kb.label(set_)}"

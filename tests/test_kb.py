@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exigraph.kb import (ASSERTED, ConflictError, Edge, KbError, Kind,
-                         KnowledgeBase, Membership, Provenance)
+                         KnowledgeBase, Membership, Proposition, Provenance)
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN, VALUES, any3
 
 from oracles import oracle_existence_degree
@@ -236,7 +236,8 @@ def test_meta_sets_matches_brute_scan(kb):
 _LABELS = ("a", "b", "c", "universe")
 _VERBS = ("sees", "likes")
 _RANK = {Kind.ASSERTED: 2, Kind.DEDUCED: 1, Kind.ABDUCED: 0}
-_step = st.tuples(st.sampled_from(("mem", "edge")), st.sampled_from(_LABELS),
+_TABLES = ("mem", "edge", "A", "E", "I", "O")  # the forms name propositions
+_step = st.tuples(st.sampled_from(_TABLES), st.sampled_from(_LABELS),
                   st.sampled_from(_VERBS), st.sampled_from(_LABELS),
                   st.sampled_from(VALUES), st.sampled_from(list(Kind)),
                   st.integers(1, 10))
@@ -247,10 +248,13 @@ def _reads_agree_with_items(kb):
     items = list(kb.items())
     mems = [i for i in items if isinstance(i, Membership)]
     edges = [i for i in items if isinstance(i, Edge)]
+    props = [i for i in items if isinstance(i, Proposition)]
     mem_key = lambda m: (kb.label(m.element), kb.label(m.set_))  # noqa: E731
     edge_key = lambda e: (kb.label(e.from_), e.name, kb.label(e.to))  # noqa: E731
     assert kb.memberships() == sorted(mems, key=mem_key)
     assert kb.edges() == sorted(edges, key=edge_key)
+    assert kb.propositions() == sorted(props, key=lambda p: (
+        p.form, kb.label(p.subject), kb.label(p.predicate)))
     ents = kb.entities()
     for x in ents:
         assert kb.memberships(x) == sorted(
@@ -272,35 +276,95 @@ def _reads_agree_with_items(kb):
             for verb in _VERBS:
                 found = [e for e in out if (e.name, e.to) == (verb, y.id)]
                 assert kb.edge(verb, x, y) is (found[0] if found else None)
+            for form in "AEIO":
+                found = [p for p in props
+                         if (p.form, p.subject, p.predicate) == (form, x.id, y.id)]
+                assert kb.proposition(form, x, y) is (found[0] if found else None)
+
+
+def _index_agrees_with_rows(kb):
+    """The entailment index equals one rebuilt from the rows: the A/E
+    implications in ``propositions()`` order, the stated I/O rows, and the
+    elements grouped by their units."""
+    stated = [q for q in kb.propositions()
+              if q.value is TRUE and q.provenance.kind is not Kind.ABDUCED]
+    graph = {}
+    for q in stated:
+        if q.form in "AE":
+            inside = q.form == "A"
+            graph.setdefault((q.subject, True), []).append((q.predicate, inside))
+            graph.setdefault((q.predicate, not inside), []).append((q.subject, False))
+    assert kb.implications() == graph
+    assert kb.particulars() == [q for q in stated if q.form in "IO"]
+    classes = {}
+    for element, rows in itertools.groupby(kb.memberships(),
+                                           key=lambda m: m.element):
+        units = tuple((m.set_, m.value is TRUE) for m in rows
+                      if m.value.is_definite()
+                      and m.provenance.kind is not Kind.ABDUCED)
+        if units:
+            classes.setdefault(units, set()).add(element)
+        assert kb.units(kb.by_id(element)) == units
+    assert {cls.units: cls.elements for cls in kb.unit_classes()} == classes
+    for cls in kb.unit_classes():
+        assert cls.first == min(map(kb.label, cls.elements))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_step, max_size=25))
+# the lowest-label element of a class leaves it
+@example([("mem", "a", "sees", "b", TRUE, Kind.ASSERTED, 1),
+          ("mem", "c", "sees", "b", TRUE, Kind.ASSERTED, 1),
+          ("mem", "a", "sees", "c", FALSE, Kind.DEDUCED, 1)])
 def test_tables_match_a_model_of_writes_and_retracts(steps):
     kb = KnowledgeBase()
+    # the same writes, with the index read only at the end: many elements
+    # are filed at once
+    batched = KnowledgeBase()
     ents = {label: kb.upsert_entity(label) for label in _LABELS}
+    for label in _LABELS:
+        batched.upsert_entity(label)
     live: dict[tuple, tuple[str, Provenance]] = {}  # key -> (id, provenance)
     for table, x, verb, y, value, kind, source in steps:
         prov = ASSERTED if kind is Kind.ASSERTED \
             else Provenance(kind, (f"#{source}",))
-        key = (x, y) if table == "mem" else (x, verb, y)
+        if table == "mem":
+            key = (x, y)
+            write = lambda k: k.assert_membership(  # noqa: E731
+                k.entity(x), k.entity(y), value, prov)
+        elif table == "edge":
+            key = (x, verb, y)
+            write = lambda k: k.assert_edge(  # noqa: E731
+                verb, k.entity(x), k.entity(y), value, prov)
+        else:
+            key = (table, x, y)
+            write = lambda k: k.assert_proposition(  # noqa: E731
+                table, k.entity(x), k.entity(y), value, prov)
         old = live.get(key)
-        write = (lambda: kb.assert_membership(ents[x], ents[y], value, prov)) \
-            if table == "mem" \
-            else (lambda: kb.assert_edge(verb, ents[x], ents[y], value, prov))
         revision = kb.revision
-        if old and old[1].kind is Kind.ASSERTED and kind is Kind.ABDUCED:
+        if table in "AEIO" and x == y:
+            with pytest.raises(KbError):
+                write(kb)
+            with pytest.raises(KbError):
+                write(batched)
+        elif old and old[1].kind is Kind.ASSERTED and kind is Kind.ABDUCED:
             with pytest.raises(ConflictError):
-                write()
+                write(kb)
+            with pytest.raises(ConflictError):
+                write(batched)
         elif old is None or _RANK[kind] >= _RANK[old[1].kind]:
-            live[key] = (write(), prov)
+            live[key] = (write(kb), prov)
+            assert write(batched) == live[key][0]
             revision += 1
             # an item is named after the revision its write creates
             assert live[key][0] == f"#{revision}"
         else:
-            assert write() is None
+            assert write(kb) is None
+            assert write(batched) is None
         # a refused write moves neither the revision nor the next item id
         assert kb.revision == revision
         _reads_agree_with_items(kb)
+        _index_agrees_with_rows(kb)
         assert len(list(kb.items())) == len(live)
         assert {item.id for item in kb.items()} == {iid for iid, _ in live.values()}
+    _index_agrees_with_rows(batched)

@@ -8,7 +8,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exigraph import cli, qa, syllogistics
+from exigraph import abduction, cli, qa, syllogistics
 from exigraph.agency import AimClass
 from exigraph.kb import KbError, KnowledgeBase
 from exigraph.logic3 import TRUE, UNKNOWN
@@ -276,6 +276,63 @@ def test_questions_read_only_what_they_ask_about(monkeypatch):
     assert s.ask_line("Did fish saw sea?").render() == "unknown"
 
 
+def _categories_world(individuals):
+    """Two category trees (c2, c3 under c0; c4, c5 under c1, each pair
+    disjoint) and individuals spread over the four lower categories, each
+    of which saw one place and flew to another; members of one category
+    share no place."""
+    s = Session()
+    s.assert_line("rule: X flew to Y => X saw Y.")
+    for low, root in (("c2", "c0"), ("c3", "c0"), ("c4", "c1"), ("c5", "c1")):
+        s.assert_line(f"All {low} are {root}.")
+    s.assert_line("No c2 are c3.")
+    s.assert_line("No c4 are c5.")
+    s.assert_line("Some c0 are c2.")
+    for i in range(individuals):
+        s.assert_line(f"P{i} is a c{2 + i % 4}.")
+        s.assert_line(f"P{i} saw l{i // 4 % 10}.")
+        s.assert_line(f"P{i} flew to l{(i // 4 + 5) % 10}.")
+    return s
+
+
+SCALE_QUESTIONS = (
+    "Is P5 a c0?", "Is P5 a c2?", "Is P5 a c4?", "Is P6 a c5?",
+    "Are all c2 c0?", "Are all c0 c2?", "Are all c2 c4?", "Are all c2 c3?",
+    "Are any c2 c3?", "Are any c0 c1?", "Are any c4 c1?", "Are any c2 c5?",
+)
+
+
+def test_question_work_does_not_grow_with_the_individuals(monkeypatch):
+    # is-a, are-all and are-any questions walk one witness per class of
+    # elements and stop reading a set's members once they share nothing.
+    # Did-questions about a category still ask entails about each actor
+    # of the edges into the object, so they are left out.
+    counts = {"walks": 0, "properties": 0}
+
+    def counted(fn, name):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(syllogistics, "_clash",
+                        counted(syllogistics._clash, "walks"))
+    monkeypatch.setattr(abduction, "_properties",
+                        counted(abduction._properties, "properties"))
+    per_size = []
+    for individuals in (600, 3000):
+        s = _categories_world(individuals)
+        work = []
+        for line in SCALE_QUESTIONS:
+            counts.update(walks=0, properties=0)
+            s.ask_line(line)
+            work.append((line, counts["walks"], counts["properties"]))
+        per_size.append(work)
+    small, large = per_size
+    for (line, walks, props), (_, big_walks, big_props) in zip(small, large):
+        assert big_walks <= walks and big_props <= props, line
+
+
 def test_answers_deterministic(moon_path):
     first = load_kb(moon_path).ask_line(MOON_Q)
     second = load_kb(moon_path).ask_line(MOON_Q)
@@ -442,6 +499,21 @@ def test_repl_trigger_fires_aim():
               "User asked question.\n")
     _, out = run_repl(script)
     assert "aim: answer question" in out
+
+
+def test_load_fires_no_trigger(tmp_path, monkeypatch):
+    path = tmp_path / "t.kb"
+    path.write_text('trigger: when * asked * then "answer {object}".\n'
+                    "User asked question.\n")
+
+    def no_fire(*args):
+        raise AssertionError("a load fired a trigger")
+
+    monkeypatch.setattr(qa, "fire_triggers", no_fire)
+    session = load_kb(str(path))
+    assert len(session.triggers) == 1
+    assert session.ask_line("Did user asked question?").render() \
+        == "yes (proven)"
 
 
 def test_repl_triggers_fire_in_declaration_order(tmp_path):
