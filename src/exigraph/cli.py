@@ -18,9 +18,9 @@ from .syllogistics import closure, contradictions
 
 
 def _load_session(path: str | None, existential_import: bool) -> qa.Session:
-    if path is None:
-        return qa.Session(existential_import=existential_import)
-    return qa.load_kb(path, existential_import=existential_import)
+    session = qa.Session() if path is None else qa.load_kb(path)
+    session.existential_import = existential_import
+    return session
 
 
 def _print_answer(ans: qa.Answer, show_trace: bool, out) -> None:
@@ -98,8 +98,7 @@ def _command(session: qa.Session, line: str, stdout) -> int | None:
         if cmd == ":quit":
             return 0
         if cmd == ":load" and len(rest) == 1:
-            loaded = qa.load_kb(rest[0],
-                                existential_import=session.existential_import)
+            loaded = qa.load_kb(rest[0])
             session.kb = loaded.kb
             session.lexicon = loaded.lexicon
             session.rules = loaded.rules

@@ -19,8 +19,10 @@ lookup away too.
 
 The KB also keeps the index that :func:`~exigraph.syllogistics.entails`
 reads, so a question walks it instead of rebuilding it from every row.
-An item is *stated* when it is TRUE and not abduced; a membership is a
-*unit* when it is definite and not abduced.
+One rule says what a definite verdict may rest on, here and in
+:mod:`~exigraph.qa`: an item is :func:`stated` when it is TRUE and not
+abduced, and :func:`settled` when it is definite and not abduced.  A
+settled membership is a *unit* of its element.
 
 - Each stated A or E proposition files its two implications between
   literals (:func:`clauses`) in :meth:`implications`.  Each literal's
@@ -28,11 +30,11 @@ An item is *stated* when it is TRUE and not abduced; a membership is a
   mentions has no list.
 - Each stated I or O proposition is filed in :meth:`particulars`, in
   :meth:`propositions` order.
-- Elements holding the same units share a :class:`UnitClass`, which
-  also keeps the lowest of their labels (:meth:`unit_classes`).  A
-  membership write only marks its element; the next read of the classes
-  re-files the marked elements, so writes stay as cheap as they were and
-  a read costs what changed since the last one.
+- Elements holding the same units form a class, and
+  :meth:`unit_classes` maps each class's units to the lowest of its
+  elements' labels.  A membership write only marks its element; the next
+  read of the classes re-files the marked elements, so writes stay as
+  cheap as they were and a read costs what changed since the last one.
 
 An overwrite that makes a row stop qualifying takes it out of the index.
 Only this module reads the maps: others call ``memberships(e)``,
@@ -49,7 +51,7 @@ import bisect
 import enum
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3, and3, any3
 
@@ -145,18 +147,14 @@ def clauses(form: str, s: int, p: int) -> tuple[tuple[Literal, Literal], ...]:
     return ((s, True), (p, inside)), ((p, not inside), (s, False))
 
 
-@dataclass
-class UnitClass:
-    """Elements holding the same units (``units``, in set label order);
-    ``first`` is the lowest of their labels."""
-
-    units: tuple[Literal, ...]
-    elements: set[int]
-    first: str
+def stated(item: Membership | Edge | Proposition) -> bool:
+    """TRUE and not abduced: an item a verdict may cite as holding."""
+    return item.value is TRUE and item.provenance.kind is not Kind.ABDUCED
 
 
-def _stated(row: Proposition) -> bool:
-    return row.value is TRUE and row.provenance.kind is not Kind.ABDUCED
+def settled(item: Membership | Edge | Proposition) -> bool:
+    """Definite and not abduced: an item a verdict may rest on."""
+    return item.value.is_definite() and item.provenance.kind is not Kind.ABDUCED
 
 
 class KnowledgeBase:
@@ -176,9 +174,11 @@ class KnowledgeBase:
         self._implies_keys: dict[Literal, list[tuple[str, str, str]]] = {}
         self._particulars: list[Proposition] = []
         self._particular_keys: list[tuple[str, str, str]] = []
-        # units -> the class holding them; element -> its units
-        self._classes: dict[frozenset[Literal], UnitClass] = {}
-        self._class_of: dict[int, frozenset[Literal]] = {}
+        # units -> the lowest label holding them, and the elements that
+        # do; element -> its units
+        self._classes: dict[tuple[Literal, ...], str] = {}
+        self._holders: dict[tuple[Literal, ...], set[int]] = {}
+        self._class_of: dict[int, tuple[Literal, ...]] = {}
         self._unfiled: set[int] = set()  # elements written since the last read
         self._revision = 0
         self._next_entity = 1
@@ -262,9 +262,9 @@ class KnowledgeBase:
         item = Proposition(self._new_id(), form, subject.id, predicate.id,
                            value, provenance)
         self._propositions[key] = item
-        if old is not None and _stated(old):
+        if old is not None and stated(old):
             self._index(old, False)
-        if _stated(item):
+        if stated(item):
             self._index(item, True)
         return item.id
 
@@ -330,50 +330,33 @@ class KnowledgeBase:
 
     def units(self, element: Entity) -> tuple[Literal, ...]:
         """``element``'s units, in set label order."""
-        return self._in_label_order(self._units(element.id))
+        return tuple(sorted(
+            ((m.set_, m.value is TRUE)
+             for m in self._memberships.get(element.id, {}).values()
+             if settled(m)), key=lambda unit: self.label(unit[0])))
 
-    def unit_classes(self) -> Collection[UnitClass]:
-        """The classes of elements holding the same units; elements with
-        no units are in none."""
-        self._file_classes()
-        return self._classes.values()
-
-    def _file_classes(self) -> None:
-        stale = set()  # classes their first element left
+    def unit_classes(self) -> dict[tuple[Literal, ...], str]:
+        """Each class's units, in set label order, mapped to the lowest
+        label of the elements holding them; elements with no units are in
+        no class."""
         for element in self._unfiled:
             label = self.label(element)
             old = self._class_of.pop(element, None)
             if old is not None:
-                cls = self._classes[old]
-                cls.elements.discard(element)
-                if not cls.elements:
-                    del self._classes[old]
-                elif cls.first == label:
-                    stale.add(old)
-            units = frozenset(self._units(element))
-            if not units:
-                continue
-            self._class_of[element] = units
-            if units not in self._classes:
-                self._classes[units] = UnitClass(self._in_label_order(units),
-                                                 set(), label)
-            cls = self._classes[units]
-            cls.elements.add(element)
-            cls.first = min(cls.first, label)
-        for units in stale & self._classes.keys():
-            cls = self._classes[units]
-            cls.first = min(map(self.label, cls.elements))
+                holders = self._holders[old]
+                holders.discard(element)
+                if not holders:
+                    del self._classes[old], self._holders[old]
+                elif self._classes[old] == label:
+                    self._classes[old] = min(map(self.label, holders))
+            units = self.units(self.by_id(element))
+            if units:
+                self._class_of[element] = units
+                self._holders.setdefault(units, set()).add(element)
+                self._classes[units] = min(self._classes.get(units, label),
+                                           label)
         self._unfiled.clear()
-
-    def _units(self, element: int) -> Iterator[Literal]:
-        return ((m.set_, m.value is TRUE)
-                for m in self._memberships.get(element, {}).values()
-                if m.value.is_definite()
-                and m.provenance.kind is not Kind.ABDUCED)
-
-    def _in_label_order(self, units: Iterable[Literal]
-                        ) -> tuple[Literal, ...]:
-        return tuple(sorted(units, key=lambda u: self.label(u[0])))
+        return self._classes
 
     def label(self, entity_id: int) -> str:
         return self._entities[entity_id].label

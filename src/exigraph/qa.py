@@ -33,7 +33,7 @@ from . import lang
 from .abduction import DefeasibleRule, candidate, rule_edges
 from .agency import Trigger, fire_triggers
 from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
-                 canonical_label)
+                 canonical_label, settled, stated)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
 from .syllogistics import entails
 
@@ -222,8 +222,7 @@ def _contradiction(description: str) -> Answer:
 def _membership_lookup(session: Session, q: lang.IsAQ, x: Entity, s: Entity
                        ) -> Optional[Answer]:
     item = session.kb.membership(x, s)
-    if item is None or not item.value.is_definite() \
-            or item.provenance.kind is Kind.ABDUCED:
+    if item is None or not settled(item):
         return None
     return _proven(item.value, [TraceStep(
         "membership", f"{x.label} in {s.label} = {item.value}",
@@ -250,16 +249,15 @@ def _membership_entailment(session: Session, q: lang.IsAQ, x: Entity,
         if mem.value is not TRUE:
             return 2
         stored = kb.proposition(universal, kb.by_id(mem.set_), s)
-        return 0 if stored is not None and stored.value is TRUE \
-            and stored.provenance.kind is not Kind.ABDUCED else 1
+        return 0 if stored is not None and stated(stored) else 1
 
     for mem in sorted(kb.memberships(x), key=cited_first):
-        if mem.set_ == s.id or mem.provenance.kind is Kind.ABDUCED:
+        if mem.set_ == s.id or not settled(mem):
             continue
         t = kb.by_id(mem.set_)
         if mem.value is TRUE:  # all t are s, or no t are s
             form, subject, predicate = universal, t, s
-        elif mem.value is FALSE and no:  # x is not a t, and all s are t
+        elif no:  # x is not a t, and all s are t
             form, subject, predicate = "A", s, t
         else:
             continue
@@ -336,21 +334,17 @@ def _edge_lookup(session: Session, q: lang.DidSpoQ, s: Entity, o: Entity
                  ) -> Optional[Answer]:
     kb, verb = session.kb, q.verb
     edge = kb.edge(verb, s, o)
-    if edge is not None and edge.value.is_definite() \
-            and edge.provenance.kind is not Kind.ABDUCED:
+    if edge is not None and settled(edge):
         return _proven(edge.value, [TraceStep(
             "edge", f"{s.label} {verb} {o.label} = {edge.value}",
             edge.provenance.kind.value)])
     # a known member of s did it: the distributive reading is proven
     for edge in kb.edges_into(o):
-        if edge.name != verb or edge.value is not TRUE:
-            continue
-        if edge.provenance.kind is Kind.ABDUCED:
+        if edge.name != verb or not stated(edge):
             continue
         actor = kb.by_id(edge.from_)
         mem = kb.membership(actor, s)
-        if mem is not None and mem.value is TRUE \
-                and mem.provenance.kind is not Kind.ABDUCED:
+        if mem is not None and stated(mem):
             return _proven(TRUE, [
                 TraceStep("edge", f"{actor.label} {verb} {o.label} = yes",
                           edge.provenance.kind.value),
@@ -460,7 +454,7 @@ def save_kb(session: Session, path: str) -> int:
     return session.kb.revision
 
 
-def load_kb(path: str, existential_import: bool = False) -> Session:
+def load_kb(path: str) -> Session:
     """Read a KB file as a script: every line that is not blank or a
     comment is applied to a fresh session as :meth:`Session.assert_line`
     applies a typed line, so a file is refused where the REPL would refuse
@@ -472,7 +466,7 @@ def load_kb(path: str, existential_import: bool = False) -> Session:
         raw = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise LoadError(path, data.count(b"\n", 0, exc.start) + 1, exc) from exc
-    session = Session(existential_import=existential_import)
+    session = Session()
     for line_no, line in enumerate(raw, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

@@ -268,9 +268,11 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
 # graph and the units, so witnesses with the same units share one walk.
 #
 # The KB keeps the implications, the stated I and O rows and the classes of
-# elements with the same units, filed by the writes that store the rows
-# (see ``kb``).  A check only reads them: the denial of I or O is laid over
-# a copy of the graph's top level, never written into the KB's lists.
+# elements with the same units, each with its lowest label, filed by the
+# writes that store the rows (see ``kb``).  A check only reads them: the
+# denial of I or O is laid over a copy of the graph's top level, never
+# written into the KB's lists.  Witnesses are walked in one fixed order and
+# the first clash is the one reported, so a check is deterministic.
 
 
 def _clash(graph: dict[Literal, list[Literal]], units: Sequence[Literal]
@@ -332,38 +334,27 @@ def inconsistency(kb: KnowledgeBase) -> Optional[str]:
 def _witness_clash(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
                    existential_import: bool) -> Optional[str]:
     """The first witness that clashes, rendered: each stated I and O, then
-    the elements in label order, then with existential import each set the
-    graph mentions.  Each class of elements is walked once, and a clash
-    names its lowest-label element, the one a walk per element in label
-    order would meet first."""
-    walked: set[tuple[Literal, ...]] = set()
-    found = _first_clash(kb, graph, [
-        _some(kb.by_id(q.subject), kb.by_id(q.predicate), q.form == "I")
-        for q in kb.particulars()], walked)
-    if found is not None:
-        return found
-    clashes = []
-    for cls in kb.unit_classes():
-        if cls.units not in walked \
-                and (set_ := _clash(graph, cls.units)) is not None:
-            clashes.append((cls.first, set_))
-        walked.add(cls.units)
-    if clashes:
-        return _render(kb, *min(clashes))
-    if not existential_import:
-        return None
-    return _first_clash(kb, graph, [
-        (f"some {kb.label(set_)}", [(set_, True)])
-        for set_ in sorted({set_ for set_, _ in graph}, key=kb.label)], walked)
+    the classes of elements by their lowest label, then with existential
+    import each set the graph mentions.  A class is named by its
+    lowest-label element, the one a walk per element in label order would
+    meet first."""
+    witnesses = itertools.chain(
+        (_some(kb.by_id(q.subject), kb.by_id(q.predicate), q.form == "I")
+         for q in kb.particulars()),
+        sorted((first, units) for units, first in kb.unit_classes().items()))
+    if existential_import:
+        witnesses = itertools.chain(witnesses, [
+            (f"some {kb.label(set_)}", [(set_, True)])
+            for set_ in sorted({set_ for set_, _ in graph}, key=kb.label)])
+    return _first_clash(kb, graph, witnesses)
 
 
 def _first_clash(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
-                 witnesses: Iterable[tuple[str, list[Literal]]],
-                 walked: Optional[set[tuple[Literal, ...]]] = None
+                 witnesses: Iterable[tuple[str, Sequence[Literal]]]
                  ) -> Optional[str]:
-    """The first of ``witnesses`` whose units clash, rendered; units in
-    ``walked``, which reached no clash before, are not walked again."""
-    walked = set() if walked is None else walked
+    """The first of ``witnesses`` whose units clash, rendered; units that
+    reached no clash before are not walked again."""
+    walked: set[tuple[Literal, ...]] = set()
     for label, units in witnesses:
         key = tuple(units)
         if key in walked:

@@ -18,7 +18,8 @@ from exigraph import cli
 from exigraph.kb import Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 from exigraph.qa import PROVEN, Session
-from exigraph.syllogistics import closure, contradictions, entails
+from exigraph.syllogistics import (closure, contradictions, entails,
+                                   inconsistency)
 
 from oracles import oracle_entailment
 
@@ -211,6 +212,40 @@ def test_abduced_and_unknown_items_never_enter():
                          Provenance(Kind.ABDUCED, ("#1",)))
     kb.assert_membership(e("x"), kb.upsert_entity("c"), UNKNOWN)
     assert entails(kb, "in", e("x"), e("b")) is None
+
+
+def test_a_clash_names_the_lowest_label_of_the_first_clashing_class():
+    # zed and bea hold {s, not p}, amy {s, not p, q}: all three clash when
+    # "some s are not p" is denied, and the lowest label is named
+    kb, e = _kb(("in", "zed", "s"), ("out", "zed", "p"),
+                ("in", "bea", "s"), ("out", "bea", "p"),
+                ("in", "amy", "s"), ("out", "amy", "p"), ("in", "amy", "q"))
+    assert entails(kb, "O", e("s"), e("p")) == "amy reaches p and not p"
+    # amy moves to a class that does not clash: the next class is named
+    kb.assert_membership(e("amy"), e("p"), TRUE)
+    assert entails(kb, "O", e("s"), e("p")) == "bea reaches p and not p"
+    # bea, its class's lowest label, leaves it: zed is named
+    kb.assert_membership(e("bea"), e("p"), UNKNOWN)
+    assert entails(kb, "O", e("s"), e("p")) == "zed reaches p and not p"
+    kb.assert_membership(e("zed"), e("s"), FALSE)
+    assert entails(kb, "O", e("s"), e("p")) is None
+    # with nothing denied, {not s, not p, q} and {s, not p, q} clash
+    kb.assert_proposition("A", e("q"), e("p"), TRUE)
+    kb.assert_membership(e("zed"), e("q"), TRUE)
+    assert inconsistency(kb) == "zed reaches p and not p"
+    kb.assert_membership(e("bea"), e("p"), FALSE)
+    kb.assert_membership(e("bea"), e("q"), TRUE)
+    assert inconsistency(kb) == "bea reaches p and not p"
+
+
+def test_with_import_a_class_clash_comes_before_an_import_witness():
+    # "some s" would clash too, and "some s" < "zed" in label order
+    kb, e = _kb(("E", "s", "p"), ("in", "zed", "s"))
+    assert entails(kb, "O", e("s"), e("p"), existential_import=True) \
+        == "zed reaches p and not p"
+    kb.assert_membership(e("zed"), e("s"), UNKNOWN)
+    assert entails(kb, "O", e("s"), e("p"), existential_import=True) \
+        == "some s reaches p and not p"
 
 
 def test_a_kb_that_contradicts_itself_answers_unknown_naming_the_witness():

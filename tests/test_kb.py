@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exigraph.kb import (ASSERTED, ConflictError, Edge, KbError, Kind,
-                         KnowledgeBase, Membership, Proposition, Provenance)
+                         KnowledgeBase, Membership, Proposition, Provenance,
+                         settled, stated)
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN, VALUES, any3
 
 from oracles import oracle_existence_degree
@@ -103,6 +104,36 @@ def test_revision_strictly_increases(kb):
     # an overridden (skipped) write is not a mutation
     kb.assert_membership(a, b, TRUE, DEDUCED)
     assert kb.revision == seen[-1]
+
+
+# -- what a verdict may rest on -------------------------------------------
+
+# (value, kind) -> (stated, settled)
+_RESTS_ON = {
+    (TRUE, Kind.ASSERTED): (True, True),
+    (TRUE, Kind.DEDUCED): (True, True),
+    (TRUE, Kind.ABDUCED): (False, False),
+    (FALSE, Kind.ASSERTED): (False, True),
+    (FALSE, Kind.DEDUCED): (False, True),
+    (FALSE, Kind.ABDUCED): (False, False),
+    (UNKNOWN, Kind.ASSERTED): (False, False),
+    (UNKNOWN, Kind.DEDUCED): (False, False),
+    (UNKNOWN, Kind.ABDUCED): (False, False),
+}
+
+
+@pytest.mark.parametrize("value, kind", list(_RESTS_ON))
+@pytest.mark.parametrize("table", ["membership", "edge", "proposition"])
+def test_stated_and_settled_by_value_and_provenance(kb, table, value, kind):
+    a, b = kb.upsert_entity("a"), kb.upsert_entity("b")
+    if table == "membership":
+        kb.assert_membership(a, b, value, PROV[kind])
+    elif table == "edge":
+        kb.assert_edge("sees", a, b, value, PROV[kind])
+    else:
+        kb.assert_proposition("A", a, b, value, PROV[kind])
+    [item] = kb.items()
+    assert (stated(item), settled(item)) == _RESTS_ON[value, kind]
 
 
 # -- existence degree -----------------------------------------------------
@@ -284,8 +315,9 @@ def _reads_agree_with_items(kb):
 
 def _index_agrees_with_rows(kb):
     """The entailment index equals one rebuilt from the rows: the A/E
-    implications in ``propositions()`` order, the stated I/O rows, and the
-    elements grouped by their units."""
+    implications in ``propositions()`` order, the stated I/O rows, and
+    each class's units mapped to the lowest label of the elements holding
+    them."""
     stated = [q for q in kb.propositions()
               if q.value is TRUE and q.provenance.kind is not Kind.ABDUCED]
     graph = {}
@@ -303,11 +335,10 @@ def _index_agrees_with_rows(kb):
                       if m.value.is_definite()
                       and m.provenance.kind is not Kind.ABDUCED)
         if units:
-            classes.setdefault(units, set()).add(element)
+            label = kb.label(element)
+            classes[units] = min(classes.get(units, label), label)
         assert kb.units(kb.by_id(element)) == units
-    assert {cls.units: cls.elements for cls in kb.unit_classes()} == classes
-    for cls in kb.unit_classes():
-        assert cls.first == min(map(kb.label, cls.elements))
+    assert kb.unit_classes() == classes
 
 
 @settings(max_examples=200, deadline=None)
