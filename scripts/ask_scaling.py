@@ -6,7 +6,11 @@ statement), N individuals each stated in one of the four lower
 categories, and two SPO edges per individual to ten places, with a rule
 that carries one verb to another.  Then the same number of questions of
 each kind is asked: is-a, are-all, are-any and did.  Prints the p50 and
-p90 latency per kind and size, in milliseconds.
+p90 latency per kind and size, in milliseconds, and the walks of the
+implication graph per question, on average and at most.  The questions
+are asked once timed and once more with the walks counted, so counting
+costs the timings nothing; the counts repeat exactly from run to run,
+where latencies do not.
 
     python scripts/ask_scaling.py [--individuals 60 600 3000]
                                   [--questions 200] [--seed 1]
@@ -17,6 +21,7 @@ import random
 import statistics
 import time
 
+from exigraph import syllogistics
 from exigraph.qa import Session
 
 PARENT = {"c2": "c0", "c3": "c0", "c4": "c1", "c5": "c1"}
@@ -51,6 +56,27 @@ def question(kind: str, individuals: int, rng: random.Random) -> str:
     return f"Did {subject} {rng.choice(VERBS)} {rng.choice(PLACES)}?"
 
 
+def walks_per_question(session: Session, lines: list[str]) -> list[int]:
+    """The walks each question makes: every walk of the implication graph
+    goes through ``syllogistics._reach``."""
+    walk, walks, per_question = syllogistics._reach, 0, []
+
+    def counted(*args):
+        nonlocal walks
+        walks += 1
+        return walk(*args)
+
+    syllogistics._reach = counted
+    try:
+        for line in lines:
+            before = walks
+            session.ask_line(line)
+            per_question.append(walks - before)
+    finally:
+        syllogistics._reach = walk
+    return per_question
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--individuals", type=int, nargs="+",
@@ -59,20 +85,23 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    print(f"{'individuals':>11}  {'kind':<8}  {'p50_ms':>8}  {'p90_ms':>8}")
+    print(f"{'individuals':>11}  {'kind':<8}  {'p50_ms':>8}  {'p90_ms':>8}"
+          f"  {'walks':>6}  {'max':>4}")
     for n in args.individuals:
         rng = random.Random(f"ask_scaling:{args.seed}:{n}")
         session = world(n, rng)
         for kind in ("is-a", "are-all", "are-any", "did"):
-            times = []
+            lines, times = [], []
             for _ in range(args.questions):
-                line = question(kind, n, rng)
+                lines.append(question(kind, n, rng))
                 start = time.perf_counter()
-                session.ask_line(line)
+                session.ask_line(lines[-1])
                 times.append((time.perf_counter() - start) * 1e3)
             deciles = statistics.quantiles(times, n=10, method="inclusive")
+            walks = walks_per_question(session, lines)
             print(f"{n:>11}  {kind:<8}  {statistics.median(times):>8.3f}  "
-                  f"{deciles[8]:>8.3f}")
+                  f"{deciles[8]:>8.3f}  {statistics.mean(walks):>6.2f}  "
+                  f"{max(walks):>4}")
 
 
 if __name__ == "__main__":

@@ -69,8 +69,9 @@ class DefeasibleRule:
 # property tags: ("rel", verb, object_id) or ("mem", set_id)
 def _properties(kb: KnowledgeBase, ent: Entity) -> dict[tuple, str]:
     """TRUE-valued properties of an entity, mapped to the item id holding them."""
-    props = {("rel", e.name, e.to): e.id for e in kb.edges(ent) if e.value is TRUE}
-    props.update((("mem", m.set_), m.id) for m in kb.memberships(ent) if m.value is TRUE)
+    memberships, edges = kb.rows(ent)
+    props = {("rel", e.name, e.to): e.id for e in edges if e.value is TRUE}
+    props.update((("mem", m.set_), m.id) for m in memberships if m.value is TRUE)
     return props
 
 
@@ -94,19 +95,20 @@ def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
     """The hypothesis :func:`abduce_membership` makes about ``set_`` for
     the first of ``elements`` it makes one for, or None.
 
-    The members of ``set_`` are read once, however many elements are
-    tried, and only until they share nothing; item ids are fetched only
-    for the properties that make the hypothesis.  So asking about one set
+    The members of ``set_`` are read once, in any order, however many
+    elements are tried, and only until they share nothing; they are put in
+    label order, and item ids fetched for the properties that make the
+    hypothesis, only for the hypothesis returned.  So asking about one set
     costs the same whatever else the KB holds, and a set whose members
     share nothing costs a few of them.
     """
-    members = common = None  # read at the first element tried
+    common = None  # read at the first element tried
     for x in elements:
         if x.id == set_.id or kb.exists(x, set_) is TRUE:
             continue
         if common is None:
-            members = kb.members_true(set_)
-            common = _shared(kb, members, but=[("mem", set_.id)])
+            common = _shared(kb, (kb.by_id(m.element) for m in kb.members(set_)
+                                  if m.value is TRUE), but=[("mem", set_.id)])
         if not common:
             return None
         x_props = _properties(kb, x)
@@ -114,6 +116,7 @@ def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
                         key=lambda t: _prop_sort_key(kb, t))
         if not shared:
             continue
+        members = kb.members_true(set_)
         evidence = []
         for tag in shared:
             evidence.append(x_props[tag])
@@ -124,7 +127,7 @@ def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
     return None
 
 
-def _shared(kb: KnowledgeBase, entities: list[Entity],
+def _shared(kb: KnowledgeBase, entities: Iterable[Entity],
             but: Iterable[tuple] = ()) -> set[tuple]:
     """The tags all of ``entities`` hold, less those in ``but`` (none when
     there are no entities): intersected one entity at a time, until none
@@ -173,6 +176,22 @@ def rule_edges(rules: list[DefeasibleRule], edges: list[Edge]) -> list[Edge]:
             out.append(edge)
             todo.append(edge)
     return out
+
+
+def premise_verbs(rules: list[DefeasibleRule], verb: str) -> set[str]:
+    """``verb`` and every verb whose rule chain reaches it.  An edge of any
+    other verb leads :func:`rule_edges` to no ``verb`` edge, so the
+    ``verb`` edges it draws over only these premises are the same, in the
+    same order and from the same premises."""
+    verbs, todo = {verb}, [verb]
+    while todo:
+        conclusion = todo.pop()
+        for rule in rules:
+            if rule.conclusion_verb == conclusion \
+                    and rule.premise_verb not in verbs:
+                verbs.add(rule.premise_verb)
+                todo.append(rule.premise_verb)
+    return verbs
 
 
 def apply_rules(rules: list[DefeasibleRule], kb: KnowledgeBase) -> int:

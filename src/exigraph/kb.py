@@ -12,10 +12,13 @@ ignored, except that an ABDUCED write over an ASSERTED item raises
 Equal or higher precedence replaces.
 
 Memberships are keyed element -> set and edges source -> (name, target),
-so an entity's own rows are one lookup away.  The same write also files
-the item in a reverse map, memberships set -> element and edges target ->
-(name, source), so a set's members and the edges into an entity are one
-lookup away too.
+so an entity's own rows are one lookup away, and :meth:`rows` hands them
+over unsorted to a caller that only collects them.  The same write also
+files the item in a reverse map: memberships set -> element, and edges
+(target, verb) -> a list in source label order, filed by ``bisect``
+beside the source labels as the entailment index's lists are.  So a
+set's members, and the edges of one verb into an entity, are one lookup
+away too.
 
 The KB also keeps the index that :func:`~exigraph.syllogistics.entails`
 reads, so a question walks it instead of rebuilding it from every row.
@@ -38,11 +41,13 @@ settled membership is a *unit* of its element.
 
 An overwrite that makes a row stop qualifying takes it out of the index.
 Only this module reads the maps: others call ``memberships(e)``,
-``edges(e)``, ``members_true(s)``, ``edges_into(t)``, ``implications()``,
-``particulars()``, ``units(e)`` or ``unit_classes()``, and read what the
-last four return without changing it.  Every admitted write bumps the
-revision, and the item it stores is named after the revision it creates
-(``#<revision>``); a refused write moves neither.
+``edges(e)``, ``rows(e)``, ``members(s)``, ``members_true(s)``,
+``edges_into(t, verb)``, ``implications()``, ``particulars()``,
+``units(e)`` or ``unit_classes()``, and read what ``edges_into``,
+``implications``, ``particulars`` and ``unit_classes`` return without
+changing it.  Every admitted write bumps the revision, and the item it
+stores is named after the revision it creates (``#<revision>``); a
+refused write moves neither.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import bisect
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3, and3, any3
 
@@ -166,7 +171,10 @@ class KnowledgeBase:
         self._memberships: dict[int, dict[int, Membership]] = {}
         self._members: dict[int, dict[int, Membership]] = {}  # set -> element
         self._edges: dict[int, dict[tuple[str, int], Edge]] = {}
-        self._edges_into: dict[int, dict[tuple[str, int], Edge]] = {}
+        # (target, verb) -> the edges, beside their source labels, in
+        # label order
+        self._edges_into: dict[tuple[int, str], list[Edge]] = {}
+        self._sources_into: dict[tuple[int, str], list[str]] = {}
         self._propositions: dict[tuple[str, int, int], Proposition] = {}
         # the entailment index; each list beside the (form, subject label,
         # predicate label) of the rows it holds, for filing them in order
@@ -246,7 +254,12 @@ class KnowledgeBase:
             return None
         item = Edge(self._new_id(), name, from_.id, to.id, value, provenance)
         self._edges.setdefault(from_.id, {})[(name, to.id)] = item
-        self._edges_into.setdefault(to.id, {})[(name, from_.id)] = item
+        key = (to.id, name)
+        into = self._edges_into.setdefault(key, [])
+        sources = self._sources_into.setdefault(key, [])
+        if old is not None:
+            _refile(sources, into, from_.label, old, False)
+        _refile(sources, into, from_.label, item, True)
         return item.id
 
     def assert_proposition(self, form: str, subject: Entity, predicate: Entity,
@@ -305,10 +318,15 @@ class KnowledgeBase:
         return sorted((e for by_target in rows for e in by_target.values()),
                       key=lambda e: (self.label(e.from_), e.name, self.label(e.to)))
 
-    def edges_into(self, to: Entity) -> list[Edge]:
-        """The edges into ``to``, in :meth:`edges` order."""
-        return sorted(self._edges_into.get(to.id, {}).values(),
-                      key=lambda e: (self.label(e.from_), e.name))
+    def edges_into(self, to: Entity, verb: str) -> list[Edge]:
+        """The ``verb`` edges into ``to``, in source label order."""
+        return self._edges_into.get((to.id, canonical_label(verb)), [])
+
+    def rows(self, entity: Entity
+             ) -> tuple[Collection[Membership], Collection[Edge]]:
+        """``entity``'s own memberships and edges, unsorted."""
+        return (self._memberships.get(entity.id, {}).values(),
+                self._edges.get(entity.id, {}).values())
 
     def edge(self, name: str, from_: Entity, to: Entity) -> Optional[Edge]:
         return self._edges.get(from_.id, {}).get((canonical_label(name), to.id))
@@ -368,6 +386,10 @@ class KnowledgeBase:
         """Membership value of element in context_set; UNKNOWN if unasserted."""
         item = self.membership(element, context_set)
         return item.value if item else UNKNOWN
+
+    def members(self, set_: Entity) -> Collection[Membership]:
+        """The memberships into ``set_``, unsorted."""
+        return self._members.get(set_.id, {}).values()
 
     def members_true(self, set_: Entity) -> list[Entity]:
         """Known-TRUE members of a set, in label order."""

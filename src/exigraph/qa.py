@@ -25,17 +25,18 @@ is what lets set-level evidence answer questions about broader sets.
 from __future__ import annotations
 
 import copy
+import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import lang
-from .abduction import DefeasibleRule, candidate, rule_edges
+from .abduction import DefeasibleRule, candidate, premise_verbs, rule_edges
 from .agency import Trigger, fire_triggers
 from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
                  canonical_label, settled, stated)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
-from .syllogistics import entails
+from .syllogistics import entails, subset_of
 
 PROVEN = "proven"
 PLAUSIBLE = "plausible"
@@ -339,8 +340,8 @@ def _edge_lookup(session: Session, q: lang.DidSpoQ, s: Entity, o: Entity
             "edge", f"{s.label} {verb} {o.label} = {edge.value}",
             edge.provenance.kind.value)])
     # a known member of s did it: the distributive reading is proven
-    for edge in kb.edges_into(o):
-        if edge.name != verb or not stated(edge):
+    for edge in kb.edges_into(o, verb):
+        if not stated(edge):
             continue
         actor = kb.by_id(edge.from_)
         mem = kb.membership(actor, s)
@@ -357,34 +358,51 @@ def _edge_lookup(session: Session, q: lang.DidSpoQ, s: Entity, o: Entity
 def _edge_conjecture(session: Session, q: lang.DidSpoQ, s: Entity,
                      o: Entity) -> Optional[Answer]:
     """Look for an actor linked to the asked subject, through stored edges
-    and the edges the rules would conclude."""
+    and the edges the rules would conclude; actors are tried in label
+    order.
+
+    A rule keeps an edge's subject and object, so the rules draw from each
+    actor's edges into ``o`` on their own, and only for an actor with a
+    link.  They draw only from the verbs that reach the asked one
+    (:func:`~exigraph.abduction.premise_verbs`), read per verb from
+    ``kb.edges_into`` and kept in verb order, the order that decides which
+    premise a drawn edge cites.  Whether all of an actor are the asked
+    subject is read off one walk for the whole question
+    (:func:`~exigraph.syllogistics.subset_of`)."""
     kb = session.kb
-    into = kb.edges_into(o)
-    edges = [e for e in into + rule_edges(session.rules, into)
-             if e.name == q.verb and e.value is not FALSE]
-    for edge in sorted(edges, key=lambda e: kb.label(e.from_)):
-        abduced_here = edge.provenance.kind is Kind.ABDUCED
-        if edge.from_ == s.id and not abduced_here:
-            continue  # already handled by direct lookup
-        actor = kb.by_id(edge.from_)
-        link = _subject_link(kb, actor, s)
+    into = sorted(itertools.chain.from_iterable(
+        kb.edges_into(o, verb)
+        for verb in sorted(premise_verbs(session.rules, q.verb))),
+        key=lambda e: kb.label(e.from_))
+    within = subset_of(kb, s)
+    for actor_id, own in itertools.groupby(into, key=lambda e: e.from_):
+        actor = kb.by_id(actor_id)
+        link = _subject_link(kb, actor, s, within)
         if link is None:
             continue
-        trace = [TraceStep("edge",
-                           f"{actor.label} {q.verb} {o.label}"
-                           + (" (conjectured)" if abduced_here else " = yes"),
-                           edge.provenance.kind.value),
-                 link,
-                 TraceStep("hypothesis",
-                           f"some {s.label} {q.verb} {o.label}",
-                           "hypothesis")]
-        return _plausible(trace, TRUE)
+        own = list(own)
+        for edge in own + rule_edges(session.rules, own):
+            abduced_here = edge.provenance.kind is Kind.ABDUCED
+            if edge.name != q.verb or edge.value is FALSE \
+                    or (actor.id == s.id and not abduced_here):
+                continue  # the last was handled by direct lookup
+            trace = [TraceStep("edge",
+                               f"{actor.label} {q.verb} {o.label}"
+                               + (" (conjectured)" if abduced_here
+                                  else " = yes"),
+                               edge.provenance.kind.value),
+                     link,
+                     TraceStep("hypothesis",
+                               f"some {s.label} {q.verb} {o.label}",
+                               "hypothesis")]
+            return _plausible(trace, TRUE)
     return None
 
 
-def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity
-                  ) -> Optional[TraceStep]:
-    """How the acting entity relates to the asked-about set, if at all."""
+def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity,
+                  within: Callable[[Entity], bool]) -> Optional[TraceStep]:
+    """How the acting entity relates to the asked-about set, if at all;
+    ``within`` tests whether all of an entity are ``s``."""
     if actor.id == s.id:
         return TraceStep("identity", f"{actor.label} is the asked subject",
                          "asserted")
@@ -392,7 +410,7 @@ def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity
     if mem is not None and mem.value is not FALSE:
         return TraceStep("membership", f"{actor.label} in {s.label}",
                          mem.provenance.kind.value)
-    if entails(kb, "A", actor, s):
+    if within(actor):
         return TraceStep("proposition", f"all {actor.label} are {s.label}",
                          _proposition_kind(kb, "A", actor, s).value)
     return None

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .kb import (Entity, Kind, KnowledgeBase, Literal, Proposition,
                  Provenance, clauses)
@@ -272,23 +272,52 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
 # writes that store the rows (see ``kb``).  A check only reads them: the
 # denial of I or O is laid over a copy of the graph's top level, never
 # written into the KB's lists.  Witnesses are walked in one fixed order and
-# the first clash is the one reported, so a check is deterministic.
+# the first clash is the one reported, so a check is deterministic.  A
+# did-question asks A(t, s) for every actor t: :func:`subset_of` answers
+# them all from one walk.
 
 
-def _clash(graph: dict[Literal, list[Literal]], units: Sequence[Literal]
-           ) -> Optional[int]:
-    """A set the units reach both in and out of, or None."""
+def _reach(graph: dict[Literal, list[Literal]], units: Sequence[Literal]
+           ) -> tuple[set[Literal], Optional[int]]:
+    """The literals the units reach, and a set they reach both in and out
+    of, or None; the walk stops at the first such set."""
     seen = set(units)
     todo = list(units)
     while todo:
         set_, inside = todo.pop()
         if (set_, not inside) in seen:
-            return set_
+            return seen, set_
         for lit in graph.get((set_, inside), ()):
             if lit not in seen:
                 seen.add(lit)
                 todo.append(lit)
-    return None
+    return seen, None
+
+
+def _clash(graph: dict[Literal, list[Literal]], units: Sequence[Literal]
+           ) -> Optional[int]:
+    """A set the units reach both in and out of, or None."""
+    return _reach(graph, units)[1]
+
+
+def subset_of(kb: KnowledgeBase, s: Entity) -> Callable[[Entity], bool]:
+    """A test of whether the KB entails "all t are s", for any entity t,
+    from one walk: it agrees with ``entails(kb, "A", t, s)``.
+
+    The denial of A(t, s) is the witness {t, not s}, and a walk from two
+    units reaches the union of their two reaches.  Every clause is filed
+    with its contrapositive, so t's reach holds a literal whose complement
+    the reach of (s, out) holds exactly when the latter reaches (t, out).
+    So A(t, s) is entailed iff (s, out) reaches (t, out), or (s, out)
+    clashes alone, or (t, in) clashes alone; a literal with no
+    implications cannot clash.
+    """
+    graph = kb.implications()
+    reached, clash = _reach(graph, [(s.id, False)])
+    if clash is not None:
+        return lambda t: True
+    return lambda t: (t.id, False) in reached or (
+        (t.id, True) in graph and _clash(graph, [(t.id, True)]) is not None)
 
 
 def _some(s: Entity, p: Entity, inside: bool) -> tuple[str, list[Literal]]:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from exigraph.abduction import (DefeasibleRule, MembershipProposal,
                                 SetProposal, TooFewElementsError,
                                 abduce_membership, apply_rules, candidate,
-                                generalize, rule_edges)
+                                generalize, premise_verbs, rule_edges)
 from exigraph.kb import ConflictError, Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 
@@ -186,22 +186,33 @@ _edge = st.tuples(names, verbs, names, st.sampled_from((TRUE, FALSE, UNKNOWN)),
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_edge, max_size=10), st.lists(_rule, max_size=4), names)
-def test_rule_edges_over_the_edges_into_an_object(edges, rules, obj):
+@given(st.lists(_edge, max_size=10), st.lists(_rule, max_size=4), names,
+       verbs)
+def test_rule_edges_over_the_edges_into_an_object(edges, rules, obj, verb):
     # a rule keeps (subject, object): drawing over the edges into one
-    # object gives exactly the into-object part of drawing over them all
+    # object gives exactly the into-object part of drawing over them all.
+    # A did-question draws over one actor's edges into the object, of the
+    # verbs that reach the asked one: that gives the pair's edges of the
+    # verb, citing the same premises, too
     kb = KnowledgeBase()
-    for frm, verb, to, value, abduced in edges:
+    for frm, premise, to, value, abduced in edges:
         prov = Provenance(Kind.ABDUCED, ("hypothesis",)) if abduced \
             else Provenance(Kind.ASSERTED)
         with contextlib.suppress(ConflictError):
-            kb.assert_edge(verb, kb.upsert_entity(frm), kb.upsert_entity(to),
-                           value, prov)
+            kb.assert_edge(premise, kb.upsert_entity(frm),
+                           kb.upsert_entity(to), value, prov)
     rules = [DefeasibleRule(*rule) for rule in rules]
     target = kb.upsert_entity(obj).id
     everything = rule_edges(rules, kb.edges())
     into = rule_edges(rules, [e for e in kb.edges() if e.to == target])
     assert into == [e for e in everything if e.to == target]
+    reaching = premise_verbs(rules, verb)
+    for pair in {(e.from_, e.to) for e in kb.edges()}:
+        own = [e for e in kb.edges()
+               if (e.from_, e.to) == pair and e.name in reaching]
+        assert [e for e in rule_edges(rules, own) if e.name == verb] \
+            == [e for e in everything
+                if (e.from_, e.to) == pair and e.name == verb]
 
 
 # -- generalize -----------------------------------------------------------

@@ -19,7 +19,7 @@ from exigraph.kb import Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 from exigraph.qa import PROVEN, Session
 from exigraph.syllogistics import (closure, contradictions, entails,
-                                   inconsistency)
+                                   inconsistency, subset_of)
 
 from oracles import oracle_entailment
 
@@ -194,6 +194,32 @@ def test_entails_reads_false_memberships_as_negative_units():
     kb, e = _kb(("out", "x", "b"), ("A", "a", "b"))
     assert entails(kb, "out", e("x"), e("a"))
     assert entails(kb, "in", e("x"), e("a")) is None
+
+
+def test_one_walk_answers_each_all_question_as_entails_does():
+    # a did-question asks "all t are s" for every actor t: subset_of
+    # answers them all from one walk, and must agree with entails, also on
+    # KBs with no model
+    rng = random.Random(5)
+    terms, individuals = ["k0", "k1", "k2", "k3", "k4"], ["x", "y"]
+    no_model = 0
+    for _ in range(400):
+        statements = []
+        for _ in range(rng.randint(1, 8)):
+            form = rng.choice("AAEEIO" + "io")
+            if form in "io":
+                statements.append(("in" if form == "i" else "out",
+                                   rng.choice(individuals), rng.choice(terms)))
+            else:
+                statements.append((form, *rng.sample(terms, 2)))
+        kb, _ = _kb(*statements)
+        no_model += inconsistency(kb) is not None
+        for s in kb.entities():
+            within = subset_of(kb, s)
+            for t in kb.entities():
+                assert within(t) == (entails(kb, "A", t, s) is not None), \
+                    (statements, t.label, s.label)
+    assert no_model > 0
 
 
 def test_existential_import_makes_every_set_a_witness():

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 
 import pytest
@@ -292,9 +293,15 @@ def _reads_agree_with_items(kb):
             (m for m in mems if m.element == x.id), key=mem_key)
         out = sorted((e for e in edges if e.from_ == x.id), key=edge_key)
         assert kb.edges(x) == out
-        assert kb.edges_into(x) == sorted(
-            (e for e in edges if e.to == x.id),
-            key=lambda e: (kb.label(e.from_), e.name))
+        own_mems, own_edges = kb.rows(x)
+        assert sorted(own_mems, key=mem_key) == kb.memberships(x)
+        assert sorted(own_edges, key=edge_key) == out
+        assert sorted(kb.members(x), key=mem_key) == sorted(
+            (m for m in mems if m.set_ == x.id), key=mem_key)
+        for verb in _VERBS:
+            assert kb.edges_into(x, verb) == sorted(
+                (e for e in edges if e.to == x.id and e.name == verb),
+                key=edge_key)
         assert kb.members_true(x) == sorted(
             (kb.by_id(m.element) for m in mems
              if m.set_ == x.id and m.value is TRUE), key=lambda e: e.label)
@@ -399,3 +406,34 @@ def test_tables_match_a_model_of_writes_and_retracts(steps):
         assert len(list(kb.items())) == len(live)
         assert {item.id for item in kb.items()} == {iid for iid, _ in live.values()}
     _index_agrees_with_rows(batched)
+
+
+# sources upserted out of label order, into two targets
+_EDGE_LABELS = ("d", "b", "universe", "a", "c")
+_edge_write = st.tuples(st.sampled_from(_EDGE_LABELS), st.sampled_from(_VERBS),
+                        st.sampled_from(_EDGE_LABELS[:2]),
+                        st.sampled_from(VALUES), st.sampled_from(list(Kind)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_edge_write, max_size=30))
+# a new source before the first, an overwrite by a higher kind, a refused
+# lower-kind write, and a conflict, each into a list of three
+@example([("d", "sees", "b", TRUE, Kind.ABDUCED),
+          ("c", "sees", "b", TRUE, Kind.ASSERTED),
+          ("a", "sees", "b", UNKNOWN, Kind.DEDUCED),
+          ("d", "sees", "b", FALSE, Kind.DEDUCED),
+          ("d", "sees", "b", TRUE, Kind.ABDUCED),
+          ("c", "sees", "b", FALSE, Kind.ABDUCED),
+          ("c", "likes", "b", TRUE, Kind.ASSERTED)])
+def test_edges_into_a_target_are_filed_by_verb_in_source_order(writes):
+    kb = KnowledgeBase()
+    ents = {label: kb.upsert_entity(label) for label in _EDGE_LABELS}
+    for frm, verb, to, value, kind in writes:
+        with contextlib.suppress(ConflictError):
+            kb.assert_edge(verb, ents[frm], ents[to], value, PROV[kind])
+        for target in ents.values():
+            for name in _VERBS:
+                assert kb.edges_into(target, name) == [
+                    e for e in kb.edges()
+                    if e.to == target.id and e.name == name]

@@ -299,14 +299,18 @@ SCALE_QUESTIONS = (
     "Is P5 a c0?", "Is P5 a c2?", "Is P5 a c4?", "Is P6 a c5?",
     "Are all c2 c0?", "Are all c0 c2?", "Are all c2 c4?", "Are all c2 c3?",
     "Are any c2 c3?", "Are any c0 c1?", "Are any c4 c1?", "Are any c2 c5?",
+    # a c2 saw l3; no c0 is stated, so every actor into l3 is tried
+    "Did c2 saw l3?", "Did c0 saw l3?", "Did c4 flew to l8?",
+    "Did c1 flew to l8?",
 )
 
 
 def test_question_work_does_not_grow_with_the_individuals(monkeypatch):
     # is-a, are-all and are-any questions walk one witness per class of
-    # elements and stop reading a set's members once they share nothing.
-    # Did-questions about a category still ask entails about each actor
-    # of the edges into the object, so they are left out.
+    # elements and stop reading a set's members once they share nothing;
+    # a did-question walks once for all the actors of the edges into the
+    # object.  Walks are counted at _clash and at _reach, which _clash and
+    # the did-question's walk go through.
     counts = {"walks": 0, "properties": 0}
 
     def counted(fn, name):
@@ -315,8 +319,9 @@ def test_question_work_does_not_grow_with_the_individuals(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(syllogistics, "_clash",
-                        counted(syllogistics._clash, "walks"))
+    for walk in ("_clash", "_reach"):
+        monkeypatch.setattr(syllogistics, walk,
+                            counted(getattr(syllogistics, walk), "walks"))
     monkeypatch.setattr(abduction, "_properties",
                         counted(abduction._properties, "properties"))
     per_size = []
