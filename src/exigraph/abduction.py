@@ -90,27 +90,32 @@ def abduce_membership(x: Entity, kb: KnowledgeBase) -> list[Hypothesis]:
     return out
 
 
-def candidate(elements: list[Entity], set_: Entity, kb: KnowledgeBase
+def candidate(elements: Iterable[Entity], set_: Entity, kb: KnowledgeBase
               ) -> Optional[Hypothesis]:
     """The hypothesis :func:`abduce_membership` makes about ``set_`` for
-    the first of ``elements`` it makes one for, or None.
+    the first of ``elements``, in label order, it makes one for, or None.
 
     The members of ``set_`` are read once, in any order, however many
     elements are tried, and only until they share nothing; they are put in
     label order, and item ids fetched for the properties that make the
-    hypothesis, only for the hypothesis returned.  So asking about one set
-    costs the same whatever else the KB holds, and a set whose members
-    share nothing costs a few of them.
+    hypothesis, only for the hypothesis returned.  ``elements`` may come
+    in any order: they are read up to the first that could be tried, and
+    put in label order only once the members share something.  So asking
+    about one set costs the same whatever else the KB holds, and a set
+    whose members share nothing costs a few of them.
     """
-    common = None  # read at the first element tried
-    for x in elements:
-        if x.id == set_.id or kb.exists(x, set_) is TRUE:
-            continue
-        if common is None:
-            common = _shared(kb, (kb.by_id(m.element) for m in kb.members(set_)
-                                  if m.value is TRUE), but=[("mem", set_.id)])
-        if not common:
-            return None
+    def open_(x: Entity) -> bool:
+        return x.id != set_.id and kb.exists(x, set_) is not TRUE
+
+    elements = iter(elements)
+    first = next(filter(open_, elements), None)
+    if first is None:
+        return None
+    common = _shared(kb, (kb.by_id(m.element) for m in kb.members(set_)
+                          if m.value is TRUE), but=[("mem", set_.id)])
+    if not common:
+        return None
+    for x in sorted([first, *filter(open_, elements)], key=lambda e: e.label):
         x_props = _properties(kb, x)
         shared = sorted(common & x_props.keys(),
                         key=lambda t: _prop_sort_key(kb, t))

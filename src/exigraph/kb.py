@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import re
 from dataclasses import dataclass
 from typing import Collection, Iterator, Optional
 
@@ -134,12 +133,10 @@ class Proposition:
 
 ROOT_LABEL = "universe"
 
-_WS = re.compile(r"\s+")
-
 
 def canonical_label(label: str) -> str:
     """Lowercase, trim, collapse internal whitespace."""
-    return _WS.sub(" ", label.strip().lower())
+    return " ".join(label.lower().split())
 
 
 Literal = tuple[int, bool]  # (set entity id, in the set?)
@@ -204,12 +201,20 @@ class KnowledgeBase:
 
     # -- entities ---------------------------------------------------------
 
+    def _id_of(self, label: str) -> Optional[int]:
+        # a key is canonical, so a canonical label is found as it is
+        found = self._by_label.get(label)
+        if found is None:
+            found = self._by_label.get(canonical_label(label))
+        return found
+
     def upsert_entity(self, label: str) -> Entity:
+        found = self._id_of(label)
+        if found is not None:
+            return self._entities[found]
         canon = canonical_label(label)
         if not canon:
             raise KbError("entity label is empty after canonicalization")
-        if canon in self._by_label:
-            return self._entities[self._by_label[canon]]
         ent = Entity(self._next_entity, canon)
         self._next_entity += 1
         self._entities[ent.id] = ent
@@ -217,7 +222,8 @@ class KnowledgeBase:
         return ent
 
     def entity(self, label: str) -> Optional[Entity]:
-        return self._entities.get(self._by_label.get(canonical_label(label), -1))
+        found = self._id_of(label)
+        return None if found is None else self._entities[found]
 
     def entities(self) -> list[Entity]:
         return sorted(self._entities.values(), key=lambda e: e.label)

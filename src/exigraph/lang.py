@@ -21,6 +21,13 @@ anything once mapped to a canonical verb); anything else - such as
 presupposition-laden forms - is rejected as unsupported rather than
 mis-answered.
 
+Each term is canonicalised once, at the tokenizer: a token is a
+lowercased run of non-whitespace, so a phrase joined from tokens is
+already what :func:`~exigraph.kb.canonical_label` would make of it, and
+nothing downstream canonicalises it again.  :meth:`Lexicon.canon` keeps
+each answer until the mapping next changes, so a term seen before costs
+one dictionary lookup.
+
 Unsupported or malformed lines raise :class:`ParseError` with a byte
 offset and the token set that was expected; parsing never mutates state.
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .kb import canonical_label
 
@@ -76,7 +83,7 @@ class Lexicon:
 
     def __init__(self, mapping: Optional[dict[str, str]] = None,
                  defaults: Optional[dict[str, str]] = None):
-        self._map: dict[str, str] = dict(defaults or {})
+        self._remap(dict(defaults or {}))
         self._user: dict[str, str] = {}
         for k, v in (mapping or {}).items():
             self.add(k, v)
@@ -91,11 +98,17 @@ class Lexicon:
         if surface == canonical:
             raise ValueError(f"lexicon entry maps {surface!r} to itself")
         # the surface may not come back, by a cycle or inside its expansion
-        old, self._map = self._map, {**self._map, surface: canonical}
+        old = self._map
+        self._remap({**old, surface: canonical})
         if f" {surface} " in f" {self.canon(surface)} ":
-            self._map = old
+            self._remap(old)
             raise ValueError(f"lexicon cycle through {surface!r}")
         self._user[surface] = canonical
+
+    def _remap(self, mapping: dict[str, str]) -> None:
+        """Every change of the mapping goes through here: it drops the
+        memo of :meth:`canon`, whose answers read the mapping."""
+        self._map, self._memo = mapping, {}
 
     def entries(self) -> list[tuple[str, str]]:
         return sorted(self._user.items())
@@ -106,7 +119,18 @@ class Lexicon:
 
     def canon(self, phrase: str) -> str:
         """Apply the mapping to a fixpoint, whole phrase first, then word by
-        word; a phrase with none in 32 steps stays as it is (idempotence)."""
+        word; a phrase with none in 32 steps stays as it is (idempotence).
+        Each answer is kept until the mapping next changes."""
+        found = self._memo.get(phrase)
+        if found is None:
+            found = self._fixpoint(phrase)
+            # an empty mapping keeps none, so EMPTY_LEXICON, which every
+            # caller without a lexicon shares, does not grow
+            if self._map:
+                self._memo[phrase] = found
+        return found
+
+    def _fixpoint(self, phrase: str) -> str:
         phrase = original = canonical_label(phrase)
         for _ in range(32):
             if phrase in self._map:
@@ -269,23 +293,25 @@ QuestionAst = Union[IsAQ, AreAllQ, AreAnyQ, DidSpoQ]
 
 # -- tokenization and helpers ---------------------------------------------
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
+class _Tok(NamedTuple):
+    text: str  # lowercased, so a phrase joined from tokens is canonical
     start: int
 
 
+_WORD = re.compile(r"\S+")
 # the line up to its first unquoted "#"; an unclosed quote runs to the end
 _UNCOMMENTED = re.compile(r'(?:"[^"]*(?:"|$)|[^"#])*')
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line.rstrip()
     return _UNCOMMENTED.match(line).group().rstrip()
 
 
 def _tokens(text: str, base: int = 0) -> list[_Tok]:
     return [_Tok(m.group().lower(), base + m.start())
-            for m in re.finditer(r"\S+", text)]
+            for m in _WORD.finditer(text)]
 
 
 def _drop_articles(toks: list[_Tok]) -> list[_Tok]:

@@ -34,7 +34,7 @@ from . import lang
 from .abduction import DefeasibleRule, candidate, premise_verbs, rule_edges
 from .agency import Trigger, fire_triggers
 from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
-                 canonical_label, settled, stated)
+                 settled, stated)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
 from .syllogistics import entails, subset_of
 
@@ -129,7 +129,7 @@ class Session:
             self._head_link(set_, item)
         elif isinstance(ast, lang.CategoricalStmt):
             # checked before any upsert, so a rejected line adds no entity
-            if canonical_label(ast.subject) == canonical_label(ast.predicate):
+            if ast.subject == ast.predicate:
                 raise KbError("trivial self-proposition rejected")
             subj = self.kb.upsert_entity(ast.subject)
             pred = self.kb.upsert_entity(ast.predicate)
@@ -177,7 +177,7 @@ def answer(q: lang.QuestionAst, session: Session) -> Answer:
                   _membership_conjecture)
     elif isinstance(q, (lang.AreAllQ, lang.AreAnyQ)):
         # no categorical proposition relates a term to itself
-        if canonical_label(q.subject) == canonical_label(q.predicate):
+        if q.subject == q.predicate:
             return Answer(UNKNOWN, None)
         labels = q.subject, q.predicate
         stages = _categorical_entailment, _categorical_conjecture
@@ -321,7 +321,8 @@ def _categorical_conjecture(session: Session,
                             q: Union[lang.AreAllQ, lang.AreAnyQ],
                             s: Entity, p: Entity) -> Optional[Answer]:
     kb = session.kb
-    hyp = candidate(kb.members_true(s), p, kb)
+    hyp = candidate((kb.by_id(m.element) for m in kb.members(s)
+                     if m.value is TRUE), p, kb)
     if hyp is None:
         return None
     return _plausible([TraceStep(

@@ -1,12 +1,13 @@
 import contextlib
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from exigraph.kb import (ASSERTED, ConflictError, Edge, KbError, Kind,
                          KnowledgeBase, Membership, Proposition, Provenance,
-                         settled, stated)
+                         canonical_label, settled, stated)
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN, VALUES, any3
 
 from oracles import oracle_existence_degree
@@ -26,6 +27,19 @@ def kb():
 def test_upsert_canonicalizes(kb):
     assert kb.upsert_entity("Moon").label == "moon"
     assert kb.upsert_entity("  Red   Apple ").label == "red apple"
+
+
+# Unicode whitespace beyond ASCII, and letters whose lowercase is longer
+# ("İ") or depends on the next character (a final "Σ")
+_LABEL_TEXT = st.text(st.sampled_from(
+    list(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2009\u2028\u3000")
+    + list("aZİΣσ\u0307ẞ#.")))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_LABEL_TEXT, st.text()))
+def test_canonical_label_keeps_its_meaning(text):
+    assert canonical_label(text) == re.sub(r"\s+", " ", text.strip().lower())
 
 
 def test_upsert_is_idempotent(kb):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -99,6 +100,127 @@ def test_missing_period_reports_offset():
     assert "." in err.value.expected
 
 
+# Each refusal's class, offset and message, as the grammar states them.
+# Offsets count characters of the line as typed, before any lowercasing.
+_FORMS = ("; supported question forms: Is <Proper> a <Noun>?  Are all <Noun> "
+          "<Noun>?  Are any <Noun> <Noun>?  Did/Have <NounPhrase> "
+          "<VerbPhrase> <NounPhrase>?")
+_SPO = "(expected <subject> <verb> <object>)"
+_LINKING = ("linking verbs belong to membership/categorical forms at offset "
+            "{} (expected <verb phrase>)")
+_NO_SUBJECT = "no room for a subject before the verb at offset {} " \
+              "(expected <noun phrase>)"
+_NO_OBJECT = "missing object after preposition at offset {} " \
+             "(expected <noun phrase>)"
+_MEMBERSHIP = "membership needs a proper noun and a set noun at offset {} " \
+              "(expected <Proper> is a <Noun>.)"
+_CATEGORICAL = "malformed categorical statement at offset {} (expected {})"
+
+BAD_STATEMENTS = [
+    ("", 0, "empty statement at offset 0 (expected <statement>)"),
+    ("   # only a comment", 0,
+     "empty statement at offset 0 (expected <statement>)"),
+    (".", 0, "empty statement at offset 0 (expected <statement>)"),
+    ("Socrates is a man", 17,
+     "statement must end with '.' at offset 17 (expected .)"),
+    # leading whitespace counts
+    ("   Socrates is a man", 20,
+     "statement must end with '.' at offset 20 (expected .)"),
+    ("   Socrates is mortal.", 12, _LINKING.format(12)),
+    ("\tAll men are.", 1,
+     _CATEGORICAL.format(1, "All <Noun> are <Noun>.")),
+    # a "#" inside quotes is not a comment; an unclosed quote runs on
+    ('Bob "x # y" is mortal.', 12, _LINKING.format(12)),
+    ('Bob said "hi" # there.', 13,
+     "statement must end with '.' at offset 13 (expected .)"),
+    ('Bob said "hi # there', 20,
+     "statement must end with '.' at offset 20 (expected .)"),
+    ('  Bob said "hi # there', 22,
+     "statement must end with '.' at offset 22 (expected .)"),
+    ('Bob "is" to.', 9, _NO_OBJECT.format(9)),
+    # non-ASCII words, "İ" among them, whose lowercase is longer
+    ("Ünïcödé is a.", 8, _MEMBERSHIP.format(8)),
+    ("İİ to Ankara.", 3, _NO_SUBJECT.format(3)),
+    ("Straße İzmir is a the.", 13, _MEMBERSHIP.format(13)),
+    ("The is a man.", 4, _MEMBERSHIP.format(4)),
+    # each refusal of _split_spo
+    ("Bob sees.", 0, f"statement too short for subject-verb-object at "
+                     f"offset 0 {_SPO}"),
+    ("Bob to the moon.", 4, _NO_SUBJECT.format(4)),
+    ("Bob flew to.", 9, _NO_OBJECT.format(9)),
+    ("Bob flew to in.", 12, _NO_OBJECT.format(12)),
+    ("Bob really is mortal.", 11, _LINKING.format(11)),
+    ("Bob is at home.", 4, _LINKING.format(4)),
+    ("Bob is to moon.", 4, _LINKING.format(4)),
+    # each refusal of _parse_categorical
+    ("No men.", 0, _CATEGORICAL.format(0, "No <Noun> are <Noun>.")),
+    ("All are men.", 0, _CATEGORICAL.format(0, "All <Noun> are <Noun>.")),
+    ("Some are not men.", 0,
+     _CATEGORICAL.format(0, "Some <Noun> are [not] <Noun>.")),
+    ("Some men are not.", 13, "missing predicate at offset 13 (expected <Noun>)"),
+    ("All men are the.", 0, "empty predicate at offset 0"),
+    ("All the are men.", 0, "empty subject at offset 0"),
+    ("All men are no mortal.", 0,
+     "predicate may not contain the keyword 'no' at offset 0"),
+    ("Bob is a is.", 0, "set noun may not contain the keyword 'is' at offset 0"),
+    ("Bob flew to the is.", 0,
+     "object may not contain the keyword 'is' at offset 0"),
+    ("rule: X causes => X makes Y.", 0, "malformed rule at offset 0 (expected "
+     "rule: X <verb phrase> Y => X <verb phrase> Y.)"),
+    ("trigger: when * sees * then aim.", 0, "malformed trigger at offset 0 "
+     "(expected trigger: when <pattern> then \"<aim>\".)"),
+    ('trigger: when * * then "aim".', 0,
+     f"trigger pattern too short at offset 0 {_SPO}"),
+    ('trigger: when * * * then "aim".', 0,
+     "trigger pattern needs a concrete slot at offset 0"),
+]
+
+BAD_QUESTIONS = [
+    ("", ParseError, 0, "empty question at offset 0 (expected <question>)"),
+    ("?", ParseError, 0, "empty question at offset 0 (expected <question>)"),
+    ("Is Socrates a man", ParseError, 17,
+     "question must end with '?' at offset 17 (expected ?)"),
+    ("   Is Socrates a?", UnsupportedFormError, 3,
+     f"malformed is-a question{_FORMS} at offset 3"),
+    ("Is a man?", UnsupportedFormError, 0,
+     f"malformed is-a question{_FORMS} at offset 0"),
+    ("Are all men?", UnsupportedFormError, 0,
+     f"unsupported question form{_FORMS} at offset 0"),
+    ("Are all the mortal?", UnsupportedFormError, 4,
+     f"missing subject{_FORMS} at offset 4"),
+    ("Are any men all?", ParseError, 0,
+     "predicate may not contain the keyword 'all' at offset 0"),
+    ("Did Bob?", UnsupportedFormError, 0,
+     f"statement too short for subject-verb-object at offset 0 {_SPO}"
+     f"{_FORMS} at offset 0"),
+    ("Did Bob to the moon?", UnsupportedFormError, 0,
+     f"{_NO_SUBJECT.format(8)}{_FORMS} at offset 0"),
+    ("  Did İİ flew to?", UnsupportedFormError, 2,
+     f"{_NO_OBJECT.format(14)}{_FORMS} at offset 2"),
+    ("Have people been to the Moon?", UnsupportedFormError, 0,
+     "cannot interpret the verb phrase 'been to' in a 'Have' question "
+     f"without a lexicon entry{_FORMS} at offset 0"),
+    ("Why is the sky blue?", UnsupportedFormError, 0,
+     f"unsupported question form{_FORMS} at offset 0"),
+]
+
+
+@pytest.mark.parametrize("line, offset, message", BAD_STATEMENTS)
+def test_statement_refusals_keep_offset_and_message(line, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse_statement(line)
+    assert type(err.value) is ParseError
+    assert (err.value.offset, str(err.value)) == (offset, message)
+
+
+@pytest.mark.parametrize("line, cls, offset, message", BAD_QUESTIONS)
+def test_question_refusals_keep_offset_and_message(line, cls, offset, message):
+    with pytest.raises(ParseError) as err:
+        parse_question(line)
+    assert type(err.value) is cls
+    assert (err.value.offset, str(err.value)) == (offset, message)
+
+
 def test_parse_error_on_gibberish():
     with pytest.raises(ParseError):
         parse_statement("ha.")
@@ -185,6 +307,39 @@ def test_canon_idempotent_after_any_accepted_entries(entries, phrase):
     for text in (phrase, *(p for entry in entries for p in entry)):
         once = lex.canon(text)
         assert lex.canon(once) == once
+
+
+def test_canon_answers_anew_after_an_entry_rewrites_the_phrase():
+    lex = Lexicon.with_defaults()
+    assert lex.canon("young men") == "young man"
+    lex.add("young man", "youth")
+    assert lex.canon("young men") == "youth"
+    lex.add("youth", "child")
+    assert lex.canon("young men") == "child"
+
+
+def test_refused_entry_leaves_every_answer_as_it_was():
+    lex = Lexicon({"a": "b", "c": "d e"})
+    phrases = ["a", "b", "c", "a c", "e"]
+    before = [lex.canon(p) for p in phrases]
+    # the last would replace an entry, and its trial reads "a" as "a"
+    for surface, canonical in [("b", "a"), ("e", "x c"), ("d", "d"),
+                               ("a", "x a")]:
+        with pytest.raises(ValueError):
+            lex.add(surface, canonical)
+        assert [lex.canon(p) for p in phrases] == before
+    assert lex.entries() == [("a", "b"), ("c", "d e")]
+
+
+def test_entry_on_a_deep_copy_leaves_the_original_unchanged():
+    lex = Lexicon.with_defaults()
+    assert lex.canon("plato") == "plato"
+    trial = copy.deepcopy(lex)
+    # a memo kept through the trial mapping would read this as a cycle
+    trial.add("plato", "socrates")
+    assert trial.canon("plato") == "socrates"
+    assert lex.canon("plato") == "plato"
+    assert lex.entries() == []
 
 
 def test_lexicon_applies_word_wise_inside_phrases():

@@ -13,6 +13,7 @@ SCRIPTS = {
     "ask_scaling.py": ["--individuals", "20", "--questions", "10"],
     "closure_scaling.py": ["--links", "3", "7"],
     "existence_survey.py": ["--trials", "5"],
+    "load_scaling.py": ["--individuals", "20", "--repeats", "2"],
     "mood_census.py": ["--countermodels"],
     "moon_demo.py": [],
 }
