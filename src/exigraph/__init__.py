@@ -13,8 +13,8 @@ from .kb import KnowledgeBase, Kind, Provenance, ASSERTED, ConflictError
 from .syllogistics import (Mood, valid_moods, infer_syllogism,
                            eval_proposition, closure, entails)
 from .abduction import (Hypothesis, DefeasibleRule, abduce_membership,
-                        apply_rules, generalize)
-from .agency import AimClass, Aim, Trigger, classify_aim, fire_triggers, choose
+                        apply_rules)
+from .agency import AimClass, Aim, Trigger, classify_aim, fire_triggers
 from .qa import Session, Answer, answer, save_kb, load_kb
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Mood", "valid_moods", "infer_syllogism", "eval_proposition", "closure",
     "entails",
     "Hypothesis", "DefeasibleRule", "abduce_membership", "apply_rules",
-    "generalize",
-    "AimClass", "Aim", "Trigger", "classify_aim", "fire_triggers", "choose",
+    "AimClass", "Aim", "Trigger", "classify_aim", "fire_triggers",
     "Session", "Answer", "answer", "save_kb", "load_kb",
 ]

@@ -12,40 +12,19 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .kb import Edge, Entity, Kind, KnowledgeBase, Provenance
 from .logic3 import TRUE, UNKNOWN
 
 
-class TooFewElementsError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
-class MembershipProposal:
-    """Conjectured element-in-set membership."""
+class Hypothesis:
+    """Conjectured element-in-set membership: always "may be", never "must
+    be" (value UNKNOWN)."""
 
     element: Entity
     set_: Entity
-
-
-@dataclass(frozen=True)
-class SetProposal:
-    """A new set conjectured from a property shared by given elements."""
-
-    label: str
-    elements: tuple[Entity, ...]
-
-
-Proposal = Union[MembershipProposal, SetProposal]
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """An abduced proposal: always "may be", never "must be" (value UNKNOWN)."""
-
-    proposition: Proposal
     evidence: tuple[str, ...]
     score: tuple[int, int]  # (shared_property_count, supporting_member_count)
 
@@ -86,7 +65,7 @@ def abduce_membership(x: Entity, kb: KnowledgeBase) -> list[Hypothesis]:
     known members; sorted by score descending, ties by set label."""
     out = [hyp for set_ in kb.entities()
            if (hyp := candidate([x], set_, kb)) is not None]
-    out.sort(key=lambda h: (-h.score[0], -h.score[1], h.proposition.set_.label))
+    out.sort(key=lambda h: (-h.score[0], -h.score[1], h.set_.label))
     return out
 
 
@@ -126,14 +105,13 @@ def candidate(elements: Iterable[Entity], set_: Entity, kb: KnowledgeBase
         for tag in shared:
             evidence.append(x_props[tag])
             evidence.extend(_holder(kb, m, tag) for m in members)
-        return Hypothesis(MembershipProposal(x, set_),
-                          tuple(dict.fromkeys(evidence)),
+        return Hypothesis(x, set_, tuple(dict.fromkeys(evidence)),
                           (len(shared), len(members)))
     return None
 
 
 def _shared(kb: KnowledgeBase, entities: Iterable[Entity],
-            but: Iterable[tuple] = ()) -> set[tuple]:
+            but: Iterable[tuple]) -> set[tuple]:
     """The tags all of ``entities`` hold, less those in ``but`` (none when
     there are no entities): intersected one entity at a time, until none
     is left."""
@@ -208,30 +186,3 @@ def apply_rules(rules: list[DefeasibleRule], kb: KnowledgeBase) -> int:
                        edge.value, edge.provenance)
     return len(added)
 
-
-def generalize(elements: list[Entity], kb: KnowledgeBase) -> Optional[Hypothesis]:
-    """Propose a set for elements sharing at least one property.
-
-    The new set entity is created with UNKNOWN, abduced memberships for
-    each element; its label derives from the best shared property.
-    Returns None when the elements share nothing.
-    """
-    if len(elements) < 2:
-        raise TooFewElementsError("generalization needs at least 2 elements")
-    common = _shared(kb, elements)
-    if not common:
-        return None
-    shared = sorted(common, key=lambda t: _prop_sort_key(kb, t))
-    best = shared[0]
-    if best[0] == "rel":
-        label = f"{best[1]} {kb.label(best[2])}".replace(" ", "-")
-    else:
-        label = f"in-{kb.label(best[1])}".replace(" ", "-")
-    evidence = tuple(dict.fromkeys(_holder(kb, ent, best) for ent in elements))
-    set_ = kb.upsert_entity(label)
-    for ent in elements:
-        if kb.membership(ent, set_) is None:
-            kb.assert_membership(ent, set_, UNKNOWN,
-                                 Provenance(Kind.ABDUCED, evidence))
-    return Hypothesis(SetProposal(label, tuple(elements)), evidence,
-                      (len(shared), len(elements)))

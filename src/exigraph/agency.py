@@ -2,23 +2,17 @@
 
 A trigger pattern watches newly perceived SPO edges and, on a match,
 instantiates its reaction template into an Aim; triggers fire in the
-order they were declared.  Aims are
-classified Task / Goal / Dream from two three-valued inputs: whether the
-actions are clear and whether resources are available.  Any UNKNOWN input
-leaves the aim Undetermined rather than forcing a classification.
-
-Choice among alternatives ("free will") is the ranking argmax when a
-ranking applies, otherwise a uniform draw from Python's Mersenne Twister
-(``random.Random``) seeded explicitly, so choices reproduce across runs
-and platforms.
+order they were declared.  :func:`classify_aim` classifies an aim Task /
+Goal / Dream from two three-valued inputs: whether the actions are clear
+and whether resources are available.  Any UNKNOWN input leaves the aim
+Undetermined rather than forcing a classification.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .logic3 import TRUE, UNKNOWN, Value3
 
@@ -45,12 +39,6 @@ def classify_aim(actions_clear: Value3, resourced: Value3) -> AimClass:
 @dataclass(frozen=True)
 class Aim:
     description: str
-    actions_clear: Value3 = UNKNOWN
-    resourced: Value3 = UNKNOWN
-
-    @property
-    def classification(self) -> AimClass:
-        return classify_aim(self.actions_clear, self.resourced)
 
 
 @dataclass(frozen=True)
@@ -80,27 +68,3 @@ def fire_triggers(new_item: tuple[str, str, str],
     the order they were declared in.  A non-matching edge forms nothing."""
     return [t.instantiate(new_item) for t in triggers if t.matches(new_item)]
 
-
-@dataclass(frozen=True)
-class MotivationRanking:
-    """Ordered preference over alternative labels."""
-
-    preferences: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.preferences)) != len(self.preferences):
-            raise ValueError("duplicate labels in ranking")
-
-
-def choose(alternatives: Sequence[str],
-           ranking: Optional[MotivationRanking],
-           seed: int) -> str:
-    """Highest-ranked alternative if the ranking covers any; otherwise a
-    uniform seeded draw.  The seed is ignored whenever the ranking decides."""
-    if not alternatives:
-        raise ValueError("no alternatives to choose from")
-    if ranking is not None:
-        for label in ranking.preferences:
-            if label in alternatives:
-                return label
-    return random.Random(seed).choice(list(alternatives))

@@ -116,7 +116,7 @@ def _command(session: qa.Session, line: str, stdout) -> int | None:
                 print("error: unknown entity", file=stdout)
                 return None
             for hyp in abduce_membership(ent, session.kb):
-                print(f"may be: {ent.label} in {hyp.proposition.set_.label} "
+                print(f"may be: {ent.label} in {hyp.set_.label} "
                       f"(score {hyp.score[0]},{hyp.score[1]})", file=stdout)
         elif cmd == ":classify" and len(rest) == 2:
             verdicts = [Value3.parse(word) for word in rest]

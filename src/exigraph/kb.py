@@ -432,12 +432,6 @@ class KnowledgeBase:
         result = walk(element.id, frozenset())
         return UNKNOWN if result is None else result
 
-    def perceives(self, observer: Entity, obj: Entity) -> Value3:
-        """Disjunction over all relation edges observer -> obj; UNKNOWN if none."""
-        values = [e.value for e in self._edges.get(observer.id, {}).values()
-                  if e.to == obj.id]
-        return any3(values) if values else UNKNOWN
-
     def meta_sets(self) -> list[Entity]:
         """Sets of sets: entities with a non-FALSE member that itself has members."""
         live = [(m.element, m.set_) for by_set in self._memberships.values()

@@ -326,7 +326,7 @@ def _categorical_conjecture(session: Session,
     if hyp is None:
         return None
     return _plausible([TraceStep(
-        "hypothesis", f"{hyp.proposition.element.label} may be in {p.label}",
+        "hypothesis", f"{hyp.element.label} may be in {p.label}",
         "hypothesis")], TRUE)
 
 
@@ -455,12 +455,31 @@ def _stored_lines(session: Session) -> list[str]:
     return lines
 
 
+def _lexicon_lines(lexicon: lang.Lexicon) -> list[str]:
+    """The lexicon's entries as lines that :func:`load_kb` adds back one at
+    a time: each is the first entry left, in label order, that a fresh
+    session's lexicon holding the lines before it takes.  An entry may
+    need one later in label order: ``man = men`` reads as a cycle until
+    ``men = mortal`` replaces the default ``men = man``."""
+    trial, left, lines = lang.Lexicon.with_defaults(), lexicon.entries(), []
+    while left:
+        for i, entry in enumerate(left):
+            try:
+                trial.add(*entry)
+                break
+            except ValueError:
+                continue
+        else:
+            i = 0  # none is taken: keep label order, which will not load
+        lines.append(lang.render(lang.LexiconStmt(*left.pop(i))))
+    return lines
+
+
 def save_kb(session: Session, path: str) -> int:
-    """Write the lexicon, then :func:`_stored_lines`, to a temp file beside
-    ``path`` and rename it over ``path``: a failed save leaves the old file."""
-    lines = [lang.render(lang.LexiconStmt(surface, canonical))
-             for surface, canonical in session.lexicon.entries()]
-    lines += _stored_lines(session)
+    """Write :func:`_lexicon_lines`, then :func:`_stored_lines`, to a temp
+    file beside ``path`` and rename it over ``path``: a failed save leaves
+    the old file."""
+    lines = _lexicon_lines(session.lexicon) + _stored_lines(session)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:

@@ -1,13 +1,11 @@
 import contextlib
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exigraph.abduction import (DefeasibleRule, MembershipProposal,
-                                SetProposal, TooFewElementsError,
-                                abduce_membership, apply_rules, candidate,
-                                generalize, premise_verbs, rule_edges)
+from exigraph.abduction import (DefeasibleRule, abduce_membership,
+                                apply_rules, candidate, premise_verbs,
+                                rule_edges)
 from exigraph.kb import ConflictError, Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 
@@ -30,8 +28,7 @@ def test_shared_property_suggests_membership():
           edges=[("alice", "breathes", "air"), ("bob", "breathes", "air"),
                  ("astronaut", "breathes", "air")])
     hyps = abduce_membership(kb.entity("astronaut"), kb)
-    assert any(isinstance(h.proposition, MembershipProposal)
-               and h.proposition.set_.label == "people" for h in hyps)
+    assert any(h.set_.label == "people" for h in hyps)
     top = hyps[0]
     assert top.score == (1, 2)
     assert top.evidence
@@ -47,7 +44,7 @@ def test_known_member_not_resuggested():
     kb = KnowledgeBase()
     build(kb, memberships=[("a", "s"), ("b", "s")],
           edges=[("a", "flies", "sky"), ("b", "flies", "sky")])
-    assert all(h.proposition.set_.label != "s"
+    assert all(h.set_.label != "s"
                for h in abduce_membership(kb.entity("a"), kb))
 
 
@@ -72,7 +69,7 @@ def test_matches_naive_enumerator_on_random_kbs(layout, x_label):
     kb = KnowledgeBase()
     build(kb, memberships=memberships, edges=edges)
     x = kb.upsert_entity(x_label)
-    got = [(h.proposition.set_.label, h.score) for h in abduce_membership(x, kb)]
+    got = [(h.set_.label, h.score) for h in abduce_membership(x, kb)]
     assert got == oracle_abduce(kb, x)
 
 
@@ -86,7 +83,7 @@ def test_candidate_is_the_first_elements_hypothesis(layout, xs, set_label):
     set_ = kb.upsert_entity(set_label)
     want = next((h for x in sorted(elements, key=lambda e: e.label)
                  for h in abduce_membership(x, kb)
-                 if h.proposition.set_ == set_), None)
+                 if h.set_ == set_), None)
     assert candidate(iter(elements), set_, kb) == want
 
 
@@ -99,7 +96,6 @@ def test_never_writes_definite_values(layout, x_label):
     x = kb.upsert_entity(x_label)
     before = {(i.id, i.value) for i in kb.items()}
     hyps = abduce_membership(x, kb)
-    generalize([kb.upsert_entity("a"), kb.upsert_entity("b")], kb)
     apply_rules([DefeasibleRule("flies", "was seen above")], kb)
     after = {i.id: i for i in kb.items()}
     for item_id, value in before:
@@ -116,9 +112,9 @@ def test_deterministic_ordering():
           memberships=[("a", "s1"), ("b", "s2")],
           edges=[("a", "flies", "sky"), ("b", "flies", "sky"),
                  ("x", "flies", "sky")])
-    first = [(h.proposition.set_.label, h.score, h.evidence)
+    first = [(h.set_.label, h.score, h.evidence)
              for h in abduce_membership(kb.entity("x"), kb)]
-    second = [(h.proposition.set_.label, h.score, h.evidence)
+    second = [(h.set_.label, h.score, h.evidence)
               for h in abduce_membership(kb.entity("x"), kb)]
     assert first == second
     assert [s for s, _, _ in first] == ["s1", "s2"]  # tie broken by label
@@ -216,35 +212,6 @@ def test_rule_edges_over_the_edges_into_an_object(edges, rules, obj, verb):
                 if (e.from_, e.to) == pair and e.name == verb]
 
 
-# -- generalize -----------------------------------------------------------
-
-def test_generalize_shared_edge():
-    kb = KnowledgeBase()
-    build(kb, edges=[("socrates", "lives in", "athens"),
-                     ("plato", "lives in", "athens")])
-    hyp = generalize([kb.entity("socrates"), kb.entity("plato")], kb)
-    assert isinstance(hyp.proposition, SetProposal)
-    assert hyp.proposition.label == "lives-in-athens"
-    set_ = kb.entity("lives-in-athens")
-    for who in ("socrates", "plato"):
-        item = kb.membership(kb.entity(who), set_)
-        assert item.value is UNKNOWN
-        assert item.provenance.kind is Kind.ABDUCED
-
-
-def test_generalize_disjoint_properties():
-    kb = KnowledgeBase()
-    build(kb, edges=[("a", "likes", "x"), ("b", "hates", "y")])
-    assert generalize([kb.entity("a"), kb.entity("b")], kb) is None
-
-
-def test_generalize_needs_two_elements():
-    kb = KnowledgeBase()
-    a = kb.upsert_entity("a")
-    with pytest.raises(TooFewElementsError):
-        generalize([a], kb)
-
-
 # -- the abduce/assert loop terminates ------------------------------------
 
 def test_hermeneutic_loop_reaches_fixpoint():
@@ -257,9 +224,8 @@ def test_hermeneutic_loop_reaches_fixpoint():
         new = 0
         for ent in kb.entities():
             for hyp in abduce_membership(ent, kb):
-                prop = hyp.proposition
-                if kb.membership(prop.element, prop.set_) is None:
-                    kb.assert_membership(prop.element, prop.set_, UNKNOWN,
+                if kb.membership(hyp.element, hyp.set_) is None:
+                    kb.assert_membership(hyp.element, hyp.set_, UNKNOWN,
                                          Provenance(Kind.ABDUCED, hyp.evidence))
                     new += 1
         if new == 0:

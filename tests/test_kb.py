@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from exigraph.kb import (ASSERTED, ConflictError, Edge, KbError, Kind,
                          KnowledgeBase, Membership, Proposition, Provenance,
                          canonical_label, settled, stated)
-from exigraph.logic3 import FALSE, TRUE, UNKNOWN, VALUES, any3
+from exigraph.logic3 import FALSE, TRUE, UNKNOWN, VALUES
 
 from oracles import oracle_existence_degree
 
@@ -219,35 +219,6 @@ def test_existence_degree_knowledge_monotone(memberships, start):
     assert after is TRUE or (before is not TRUE and after is before)
 
 
-# -- perception -----------------------------------------------------------
-
-def test_perception_is_directional(kb):
-    man, apple = kb.upsert_entity("man"), kb.upsert_entity("apple")
-    kb.assert_edge("sees", man, apple, TRUE)
-    assert kb.perceives(man, apple) is TRUE
-    assert kb.perceives(apple, man) is UNKNOWN
-
-
-def test_tractor_is_perceived_only_by_its_driver(kb):
-    driver = kb.upsert_entity("tractor driver")
-    villager = kb.upsert_entity("villager")
-    tractor = kb.upsert_entity("tractor")
-    kb.assert_edge("sees", driver, tractor, TRUE)
-    assert kb.perceives(driver, tractor) is TRUE
-    assert kb.perceives(villager, tractor) is UNKNOWN
-
-
-def test_no_edges_at_all(kb):
-    a, b = kb.upsert_entity("a"), kb.upsert_entity("b")
-    assert kb.perceives(a, b) is UNKNOWN
-
-
-def test_self_edge_supported(kb):
-    thinker = kb.upsert_entity("thinker")
-    kb.assert_edge("thinks about", thinker, thinker, TRUE)
-    assert kb.perceives(thinker, thinker) is TRUE
-
-
 # -- meta sets ------------------------------------------------------------
 
 def test_meta_sets_nested(kb):
@@ -323,8 +294,6 @@ def _reads_agree_with_items(kb):
             found = [m for m in mems if (m.element, m.set_) == (x.id, y.id)]
             assert kb.membership(x, y) is (found[0] if found else None)
             assert kb.exists(x, y) is (found[0].value if found else UNKNOWN)
-            values = [e.value for e in out if e.to == y.id]
-            assert kb.perceives(x, y) is (any3(values) if values else UNKNOWN)
             for verb in _VERBS:
                 found = [e for e in out if (e.name, e.to) == (verb, y.id)]
                 assert kb.edge(verb, x, y) is (found[0] if found else None)
