@@ -12,9 +12,8 @@ from .logic3 import TRUE, FALSE, UNKNOWN, Value3, and3, or3, not3, implies3
 from .kb import KnowledgeBase, Kind, Provenance, ASSERTED, ConflictError
 from .syllogistics import (Mood, valid_moods, infer_syllogism,
                            eval_proposition, closure, entails)
-from .abduction import (Hypothesis, DefeasibleRule, abduce_membership,
-                        apply_rules)
-from .agency import AimClass, Aim, Trigger, classify_aim, fire_triggers
+from .abduction import Hypothesis, abduce_membership, apply_rules
+from .agency import AimClass, Aim, classify_aim, fire_triggers
 from .qa import Session, Answer, answer, save_kb, load_kb
 
 __all__ = [
@@ -22,7 +21,7 @@ __all__ = [
     "KnowledgeBase", "Kind", "Provenance", "ASSERTED", "ConflictError",
     "Mood", "valid_moods", "infer_syllogism", "eval_proposition", "closure",
     "entails",
-    "Hypothesis", "DefeasibleRule", "abduce_membership", "apply_rules",
-    "AimClass", "Aim", "Trigger", "classify_aim", "fire_triggers",
+    "Hypothesis", "abduce_membership", "apply_rules",
+    "AimClass", "Aim", "classify_aim", "fire_triggers",
     "Session", "Answer", "answer", "save_kb", "load_kb",
 ]

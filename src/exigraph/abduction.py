@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .kb import Edge, Entity, Kind, KnowledgeBase, Provenance
+from .lang import RuleStmt
 from .logic3 import TRUE, UNKNOWN
 
 
@@ -31,18 +32,6 @@ class Hypothesis:
     def __post_init__(self):
         if not self.evidence:
             raise ValueError("hypothesis without evidence")
-
-
-@dataclass(frozen=True)
-class DefeasibleRule:
-    """SPO template rule ``X <premise_verb> Y => X <conclusion_verb> Y``."""
-
-    premise_verb: str
-    conclusion_verb: str
-
-    @property
-    def name(self) -> str:
-        return f"rule:{self.premise_verb}=>{self.conclusion_verb}"
 
 
 # property tags: ("rel", verb, object_id) or ("mem", set_id)
@@ -132,7 +121,7 @@ def _holder(kb: KnowledgeBase, ent: Entity, tag: tuple) -> str:
     return kb.membership(ent, kb.by_id(tag[1])).id
 
 
-def rule_edges(rules: list[DefeasibleRule], edges: list[Edge]) -> list[Edge]:
+def rule_edges(rules: list[RuleStmt], edges: list[Edge]) -> list[Edge]:
     """The edges the rules conclude from ``edges``, to a fixpoint, without
     storing them.
 
@@ -161,7 +150,7 @@ def rule_edges(rules: list[DefeasibleRule], edges: list[Edge]) -> list[Edge]:
     return out
 
 
-def premise_verbs(rules: list[DefeasibleRule], verb: str) -> set[str]:
+def premise_verbs(rules: list[RuleStmt], verb: str) -> set[str]:
     """``verb`` and every verb whose rule chain reaches it.  An edge of any
     other verb leads :func:`rule_edges` to no ``verb`` edge, so the
     ``verb`` edges it draws over only these premises are the same, in the
@@ -177,7 +166,7 @@ def premise_verbs(rules: list[DefeasibleRule], verb: str) -> set[str]:
     return verbs
 
 
-def apply_rules(rules: list[DefeasibleRule], kb: KnowledgeBase) -> int:
+def apply_rules(rules: list[RuleStmt], kb: KnowledgeBase) -> int:
     """Store what :func:`rule_edges` concludes; asserted triples are left
     alone and a re-run adds nothing.  Returns the number of edges added."""
     added = rule_edges(rules, kb.edges())

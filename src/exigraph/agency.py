@@ -1,8 +1,10 @@
 """Perception-triggered aims and their classification.
 
-A trigger pattern watches newly perceived SPO edges and, on a match,
-instantiates its reaction template into an Aim; triggers fire in the
-order they were declared.  :func:`classify_aim` classifies an aim Task /
+A trigger is the :class:`~exigraph.lang.TriggerStmt` parsed from a
+``trigger:`` line: its (subject, verb, object) pattern, where ``*``
+matches any label, watches newly perceived SPO edges and, on a match,
+fills its reaction template into an Aim; triggers fire in the order
+they were declared.  :func:`classify_aim` classifies an aim Task /
 Goal / Dream from two three-valued inputs: whether the actions are clear
 and whether resources are available.  Any UNKNOWN input leaves the aim
 Undetermined rather than forcing a classification.
@@ -14,9 +16,8 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
+from .lang import WILDCARD, TriggerStmt
 from .logic3 import TRUE, UNKNOWN, Value3
-
-WILDCARD = "*"
 
 
 class AimClass(enum.Enum):
@@ -41,30 +42,17 @@ class Aim:
     description: str
 
 
-@dataclass(frozen=True)
-class Trigger:
-    pattern: tuple[str, str, str]  # slots; "*" is a wildcard
-    reaction: str  # template with {subject} {verb} {object}
-
-    def __post_init__(self):
-        if all(s == WILDCARD for s in self.pattern):
-            raise ValueError("trigger pattern needs at least one concrete slot")
-
-    def matches(self, obs: tuple[str, str, str]) -> bool:
-        return all(p == WILDCARD or p == s
-                   for p, s in zip(self.pattern, obs))
-
-    def instantiate(self, obs: tuple[str, str, str]) -> Aim:
-        text = self.reaction
-        for name, value in zip(("subject", "verb", "object"), obs):
-            text = text.replace("{" + name + "}", value)
-        return Aim(text)
-
-
 def fire_triggers(new_item: tuple[str, str, str],
-                  triggers: Sequence[Trigger]) -> list[Aim]:
+                  triggers: Sequence[TriggerStmt]) -> list[Aim]:
     """Aims formed by every trigger that matches a newly recorded SPO edge,
     given as (subject, verb, object) labels, in the order of ``triggers``:
     the order they were declared in.  A non-matching edge forms nothing."""
-    return [t.instantiate(new_item) for t in triggers if t.matches(new_item)]
-
+    aims = []
+    for t in triggers:
+        pattern = t.subject, t.verb, t.obj
+        if all(p in (WILDCARD, s) for p, s in zip(pattern, new_item)):
+            text = t.reaction
+            for name, value in zip(("subject", "verb", "object"), new_item):
+                text = text.replace("{" + name + "}", value)
+            aims.append(Aim(text))
+    return aims

@@ -3,8 +3,10 @@
 A closed grammar, one construct per line, case-insensitive, ``#`` starts a
 comment.  Statements: membership ("Socrates is a man."), the four
 categorical forms, subject-verb-object relations, defeasible rules,
-lexicon entries and trigger declarations.  Questions: is-a, are-all,
-are-any, and did/have SPO forms.
+lexicon entries and trigger declarations.  A :class:`Question` asks
+whether a statement holds: is-a a membership, are-all and are-any an A
+or I categorical, did/have an SPO relation.  Each construct has one
+record, which the parser builds and a session keeps as parsed.
 
 Verb-phrase boundaries in SPO constructs are resolved positionally: the
 verb is the token immediately before the first preposition (from the fixed
@@ -41,6 +43,7 @@ from typing import NamedTuple, Optional, Union
 from .kb import canonical_label
 
 ARTICLES = {"a", "an", "the"}
+WILDCARD = "*"  # a trigger slot that matches any label
 PREPOSITIONS = ("to", "at", "in", "on", "with")
 KEYWORDS = {"is", "are", "all", "no", "some", "not", "did", "have",
             "rule:", "lexicon:", "trigger:", "=>", "=", "when", "then"}
@@ -210,12 +213,18 @@ class SpoStmt:
 
 @dataclass(frozen=True)
 class RuleStmt:
+    """Defeasible SPO rule ``X <premise_verb> Y => X <conclusion_verb> Y``."""
+
     premise_verb: str
     conclusion_verb: str
 
     def __post_init__(self):
         _check_verb(self.premise_verb)
         _check_verb(self.conclusion_verb)
+
+    @property
+    def name(self) -> str:
+        return f"rule:{self.premise_verb}=>{self.conclusion_verb}"
 
 
 @dataclass(frozen=True)
@@ -229,10 +238,10 @@ class TriggerStmt:
     subject: str  # noun phrase or "*"
     verb: str
     obj: str
-    reaction: str
+    reaction: str  # template with {subject} {verb} {object}
 
     def __post_init__(self):
-        if self.subject == "*" and self.obj == "*" and self.verb == "*":
+        if self.subject == self.verb == self.obj == WILDCARD:
             raise ValueError("trigger pattern needs a concrete slot")
 
 
@@ -240,55 +249,20 @@ StatementAst = Union[MembershipStmt, CategoricalStmt, SpoStmt, RuleStmt,
                      LexiconStmt, TriggerStmt]
 
 
-# -- question ASTs --------------------------------------------------------
+# -- questions ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IsAQ:
-    proper: str
-    set_: str
+class Question:
+    """Asks whether a statement holds: a membership (is-a), an A or I
+    categorical (are-all, are-any) or an SPO relation (did/have)."""
+
+    asks: Union[MembershipStmt, CategoricalStmt, SpoStmt]
 
     def __post_init__(self):
-        _check_term(self.proper, "proper noun")
-        _check_term(self.set_, "set noun")
-
-
-@dataclass(frozen=True)
-class AreAllQ:
-    subject: str
-    predicate: str  # single word in the surface grammar
-
-    def __post_init__(self):
-        _check_term(self.subject, "subject")
-        _check_term(self.predicate, "predicate")
-        if " " in self.predicate:
-            raise ValueError("are-all predicate is a single word")
-
-
-@dataclass(frozen=True)
-class AreAnyQ:
-    subject: str
-    predicate: str
-
-    def __post_init__(self):
-        _check_term(self.subject, "subject")
-        _check_term(self.predicate, "predicate")
-        if " " in self.predicate:
-            raise ValueError("are-any predicate is a single word")
-
-
-@dataclass(frozen=True)
-class DidSpoQ:
-    subject: str
-    verb: str
-    obj: str
-
-    def __post_init__(self):
-        _check_term(self.subject, "subject")
-        _check_verb(self.verb)
-        _check_term(self.obj, "object")
-
-
-QuestionAst = Union[IsAQ, AreAllQ, AreAnyQ, DidSpoQ]
+        if not (isinstance(self.asks, (MembershipStmt, SpoStmt))
+                or isinstance(self.asks, CategoricalStmt)
+                and self.asks.form in "AI"):
+            raise ValueError(f"no question asks {self.asks!r}")
 
 
 # -- tokenization and helpers ---------------------------------------------
@@ -403,7 +377,7 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
                              ('trigger: when <pattern> then "<aim>".',))
         pat = _drop_articles(_tokens(m.group("pat")))
         # slots match canonical labels, so they read through the lexicon
-        s, v, o = (slot if slot == "*" else lexicon.canon(slot)
+        s, v, o = (slot if slot == WILDCARD else lexicon.canon(slot)
                    for slot in _split_spo_pattern(pat))
         return _wrap(lambda: TriggerStmt(s, v, o, m.group("txt")), 0)
 
@@ -461,9 +435,10 @@ def _parse_categorical(toks: list[_Tok], lexicon: Lexicon) -> CategoricalStmt:
                  toks[0].start)
 
 
-def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> QuestionAst:
-    """Parse one question line; unsupported shapes raise
-    :class:`UnsupportedFormError` rather than being guessed at."""
+def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> Question:
+    """Parse one question line into the :class:`Question` that asks its
+    statement; unsupported shapes raise :class:`UnsupportedFormError`
+    rather than being guessed at."""
     text = _strip_comment(line)
     if not text.strip():
         raise ParseError("empty question", 0, ("<question>",))
@@ -482,17 +457,23 @@ def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> QuestionAst:
         set_ = _join(_drop_articles(toks[art + 1:]))
         if not proper or not set_:
             raise UnsupportedFormError("malformed is-a question", toks[0].start)
-        return _wrap(lambda: IsAQ(lexicon.canon(proper), lexicon.canon(set_)),
+        return _wrap(lambda: Question(MembershipStmt(lexicon.canon(proper),
+                                                     lexicon.canon(set_))),
                      toks[0].start)
 
     if head == "are" and len(toks) >= 4 and toks[1].text in ("all", "any"):
-        cls = AreAllQ if toks[1].text == "all" else AreAnyQ
         subject = _join(_drop_articles(toks[2:-1]))
         predicate = toks[-1].text
         if not subject:
             raise UnsupportedFormError("missing subject", toks[1].start)
-        return _wrap(lambda: cls(lexicon.canon(subject),
-                                 lexicon.canon(predicate)), toks[0].start)
+        asks = _wrap(lambda: CategoricalStmt(
+            "A" if toks[1].text == "all" else "I", lexicon.canon(subject),
+            lexicon.canon(predicate)), toks[0].start)
+        # a lexicon entry may map the one-word predicate to a phrase
+        if " " in asks.predicate:
+            raise ParseError(f"are-{toks[1].text} predicate is a single word",
+                             toks[0].start)
+        return Question(asks)
 
     if head in ("did", "have"):
         rest = _drop_articles(toks[1:])
@@ -504,8 +485,9 @@ def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> QuestionAst:
             raise UnsupportedFormError(
                 f"cannot interpret the verb phrase {v!r} in a 'Have' "
                 "question without a lexicon entry", toks[0].start)
-        return _wrap(lambda: DidSpoQ(lexicon.canon(s), lexicon.canon(v),
-                                     lexicon.canon(o)), toks[0].start)
+        return _wrap(lambda: Question(SpoStmt(
+            lexicon.canon(s), lexicon.canon(v), lexicon.canon(o))),
+            toks[0].start)
 
     raise UnsupportedFormError("unsupported question form", toks[0].start)
 
@@ -513,13 +495,15 @@ def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> QuestionAst:
 # -- rendering ------------------------------------------------------------
 
 def _cap(text: str) -> str:
-    return text[0].upper() + text[1:]
+    # "ı", "ß" and "ﬁ" stay: their capitals lower to other letters
+    head = text[0].upper()
+    return head + text[1:] if head.lower() == text[0] else text
 
 def _article(noun: str) -> str:
     return "an" if noun[0] in "aeiou" else "a"
 
 
-def render(ast: StatementAst | QuestionAst) -> str:
+def render(ast: StatementAst | Question) -> str:
     """Canonical surface form; ``parse(render(ast)) == ast`` and rendering
     a parsed line is a fixpoint."""
     if isinstance(ast, MembershipStmt):
@@ -537,12 +521,12 @@ def render(ast: StatementAst | QuestionAst) -> str:
     if isinstance(ast, TriggerStmt):
         return (f'trigger: when {ast.subject} {ast.verb} {ast.obj} '
                 f'then "{ast.reaction}".')
-    if isinstance(ast, IsAQ):
-        return f"Is {ast.proper} {_article(ast.set_)} {ast.set_}?"
-    if isinstance(ast, AreAllQ):
-        return f"Are all {ast.subject} {ast.predicate}?"
-    if isinstance(ast, AreAnyQ):
-        return f"Are any {ast.subject} {ast.predicate}?"
-    if isinstance(ast, DidSpoQ):
-        return f"Did {ast.subject} {ast.verb} {ast.obj}?"
+    if isinstance(ast, Question):
+        q = ast.asks
+        if isinstance(q, MembershipStmt):
+            return f"Is {q.proper} {_article(q.set_)} {q.set_}?"
+        if isinstance(q, CategoricalStmt):
+            word = "all" if q.form == "A" else "any"
+            return f"Are {word} {q.subject} {q.predicate}?"
+        return f"Did {q.subject} {q.verb} {q.obj}?"
     raise TypeError(f"not an AST: {ast!r}")

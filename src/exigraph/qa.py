@@ -28,15 +28,15 @@ import copy
 import itertools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import lang
-from .abduction import DefeasibleRule, candidate, premise_verbs, rule_edges
-from .agency import Trigger, fire_triggers
+from .abduction import candidate, premise_verbs, rule_edges
+from .agency import fire_triggers
 from .kb import (ASSERTED, Entity, KbError, Kind, KnowledgeBase, Provenance,
                  settled, stated)
 from .logic3 import TRUE, FALSE, UNKNOWN, Value3
-from .syllogistics import entails, subset_of
+from .syllogistics import CONTRADICTORY, entails, subset_of
 
 PROVEN = "proven"
 PLAUSIBLE = "plausible"
@@ -73,8 +73,8 @@ class Session:
 
     kb: KnowledgeBase = field(default_factory=KnowledgeBase)
     lexicon: lang.Lexicon = field(default_factory=lang.Lexicon.with_defaults)
-    rules: list[DefeasibleRule] = field(default_factory=list)
-    triggers: list[Trigger] = field(default_factory=list)
+    rules: list[lang.RuleStmt] = field(default_factory=list)
+    triggers: list[lang.TriggerStmt] = field(default_factory=list)
     existential_import: bool = False
     show_trace: bool = False
 
@@ -116,12 +116,10 @@ class Session:
                     raise lang.ParseError(f"lexicon entry would change {line!r}")
             self.lexicon = trial
         elif isinstance(ast, lang.RuleStmt):
-            rule = DefeasibleRule(ast.premise_verb, ast.conclusion_verb)
-            if rule not in self.rules:
-                self.rules.append(rule)
+            if ast not in self.rules:
+                self.rules.append(ast)
         elif isinstance(ast, lang.TriggerStmt):
-            self.triggers.append(Trigger((ast.subject, ast.verb, ast.obj),
-                                         ast.reaction))
+            self.triggers.append(ast)
         elif isinstance(ast, lang.MembershipStmt):
             elem = self.kb.upsert_entity(ast.proper)
             set_ = self.kb.upsert_entity(ast.set_)
@@ -136,15 +134,13 @@ class Session:
             item = self.kb.assert_proposition(ast.form, subj, pred, TRUE, ASSERTED)
             self._head_link(subj, item)
             self._head_link(pred, item)
-        elif isinstance(ast, lang.SpoStmt):
+        else:  # lang.SpoStmt, the last kind of statement
             subj = self.kb.upsert_entity(ast.subject)
             obj = self.kb.upsert_entity(ast.obj)
             item = self.kb.assert_edge(ast.verb, subj, obj, TRUE, ASSERTED)
             self._head_link(subj, item)
             self._head_link(obj, item)
             return subj.label, ast.verb, obj.label
-        else:
-            raise TypeError(f"not a statement AST: {ast!r}")
         return None
 
     def _head_link(self, phrase: Entity, source: Optional[str]) -> None:
@@ -163,34 +159,34 @@ class Session:
         return answer(lang.parse_question(line, self.lexicon), self)
 
 
-def answer(q: lang.QuestionAst, session: Session) -> Answer:
-    """Answer one question by the first of its kind's stages that settles it.
+def answer(q: lang.Question, session: Session) -> Answer:
+    """Answer one question by the first of its kind's stages that settles
+    it; each stage gets the statement the question asks.
 
     Is-a: lookup, entailment, conjecture.  Are-all/are-any: entailment,
     conjecture.  Did/have: lookup, conjecture (edges are not categorical).
     An unknown entity answers UNKNOWN at once.  Nothing is written to the
     KB, so a question never moves the revision.
     """
-    if isinstance(q, lang.IsAQ):
-        labels = q.proper, q.set_
+    asks = q.asks
+    if isinstance(asks, lang.MembershipStmt):
+        labels = asks.proper, asks.set_
         stages = (_membership_lookup, _membership_entailment,
                   _membership_conjecture)
-    elif isinstance(q, (lang.AreAllQ, lang.AreAnyQ)):
+    elif isinstance(asks, lang.CategoricalStmt):
         # no categorical proposition relates a term to itself
-        if q.subject == q.predicate:
+        if asks.subject == asks.predicate:
             return Answer(UNKNOWN, None)
-        labels = q.subject, q.predicate
+        labels = asks.subject, asks.predicate
         stages = _categorical_entailment, _categorical_conjecture
-    elif isinstance(q, lang.DidSpoQ):
-        labels = q.subject, q.obj
+    else:  # lang.SpoStmt
+        labels = asks.subject, asks.obj
         stages = _edge_lookup, _edge_conjecture
-    else:
-        raise TypeError(f"not a question AST: {q!r}")
     a, b = session.kb.entity(labels[0]), session.kb.entity(labels[1])
     if a is None or b is None:
         return Answer(UNKNOWN, None)
     for stage in stages:
-        found = stage(session, q, a, b)
+        found = stage(session, asks, a, b)
         if found is not None:
             return found
     return Answer(UNKNOWN, None)
@@ -220,8 +216,8 @@ def _contradiction(description: str) -> Answer:
 
 # -- is-a questions -------------------------------------------------------
 
-def _membership_lookup(session: Session, q: lang.IsAQ, x: Entity, s: Entity
-                       ) -> Optional[Answer]:
+def _membership_lookup(session: Session, q: lang.MembershipStmt, x: Entity,
+                       s: Entity) -> Optional[Answer]:
     item = session.kb.membership(x, s)
     if item is None or not settled(item):
         return None
@@ -230,8 +226,8 @@ def _membership_lookup(session: Session, q: lang.IsAQ, x: Entity, s: Entity
         item.provenance.kind.value)])
 
 
-def _membership_entailment(session: Session, q: lang.IsAQ, x: Entity,
-                           s: Entity) -> Optional[Answer]:
+def _membership_entailment(session: Session, q: lang.MembershipStmt,
+                           x: Entity, s: Entity) -> Optional[Answer]:
     """x's own memberships and the A/E implications settle it.  The trace
     names the first of x's sets whose relation to ``s`` carries the
     verdict: TRUE ones first, those whose A (or E) to ``s`` is stored
@@ -276,8 +272,8 @@ def _membership_entailment(session: Session, q: lang.IsAQ, x: Entity,
     return _proven(verdict, [TraceStep("witness", no, Kind.DEDUCED.value)])
 
 
-def _membership_conjecture(session: Session, q: lang.IsAQ, x: Entity,
-                           s: Entity) -> Optional[Answer]:
+def _membership_conjecture(session: Session, q: lang.MembershipStmt,
+                           x: Entity, s: Entity) -> Optional[Answer]:
     kb = session.kb
     hyp = candidate([x], s, kb)
     if hyp is not None:
@@ -298,11 +294,10 @@ def _membership_conjecture(session: Session, q: lang.IsAQ, x: Entity,
 
 # -- categorical questions ------------------------------------------------
 
-def _categorical_entailment(session: Session,
-                            q: Union[lang.AreAllQ, lang.AreAnyQ],
+def _categorical_entailment(session: Session, q: lang.CategoricalStmt,
                             s: Entity, p: Entity) -> Optional[Answer]:
     kb, existential_import = session.kb, session.existential_import
-    form, contrary = ("A", "O") if isinstance(q, lang.AreAllQ) else ("I", "E")
+    form, contrary = q.form, CONTRADICTORY[q.form]
     yes = entails(kb, form, s, p, existential_import)
     no = entails(kb, contrary, s, p, existential_import)
     if yes and no:
@@ -317,8 +312,7 @@ def _categorical_entailment(session: Session,
         _proposition_kind(kb, form, s, p).value)])
 
 
-def _categorical_conjecture(session: Session,
-                            q: Union[lang.AreAllQ, lang.AreAnyQ],
+def _categorical_conjecture(session: Session, q: lang.CategoricalStmt,
                             s: Entity, p: Entity) -> Optional[Answer]:
     kb = session.kb
     hyp = candidate((kb.by_id(m.element) for m in kb.members(s)
@@ -332,7 +326,7 @@ def _categorical_conjecture(session: Session,
 
 # -- spo questions --------------------------------------------------------
 
-def _edge_lookup(session: Session, q: lang.DidSpoQ, s: Entity, o: Entity
+def _edge_lookup(session: Session, q: lang.SpoStmt, s: Entity, o: Entity
                  ) -> Optional[Answer]:
     kb, verb = session.kb, q.verb
     edge = kb.edge(verb, s, o)
@@ -356,7 +350,7 @@ def _edge_lookup(session: Session, q: lang.DidSpoQ, s: Entity, o: Entity
     return None
 
 
-def _edge_conjecture(session: Session, q: lang.DidSpoQ, s: Entity,
+def _edge_conjecture(session: Session, q: lang.SpoStmt, s: Entity,
                      o: Entity) -> Optional[Answer]:
     """Look for an actor linked to the asked subject, through stored edges
     and the edges the rules would conclude; actors are tried in label
@@ -435,11 +429,10 @@ def _stored_lines(session: Session) -> list[str]:
     after a load.
     """
     kb, label = session.kb, session.kb.label
-    lines = [lang.render(lang.RuleStmt(rule.premise_verb, rule.conclusion_verb))
+    lines = [lang.render(rule)
              for rule in sorted(session.rules, key=lambda r: (r.premise_verb,
                                                               r.conclusion_verb))]
-    lines += [lang.render(lang.TriggerStmt(*trig.pattern, trig.reaction))
-              for trig in session.triggers]
+    lines += [lang.render(trig) for trig in session.triggers]
     groups = [
         (kb.memberships(), lambda m: lang.MembershipStmt(label(m.element),
                                                          label(m.set_))),

@@ -3,10 +3,10 @@ import contextlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exigraph.abduction import (DefeasibleRule, abduce_membership,
-                                apply_rules, candidate, premise_verbs,
-                                rule_edges)
+from exigraph.abduction import (abduce_membership, apply_rules, candidate,
+                                premise_verbs, rule_edges)
 from exigraph.kb import ConflictError, Kind, KnowledgeBase, Provenance
+from exigraph.lang import RuleStmt
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 
 from oracles import oracle_abduce
@@ -96,7 +96,7 @@ def test_never_writes_definite_values(layout, x_label):
     x = kb.upsert_entity(x_label)
     before = {(i.id, i.value) for i in kb.items()}
     hyps = abduce_membership(x, kb)
-    apply_rules([DefeasibleRule("flies", "was seen above")], kb)
+    apply_rules([RuleStmt("flies", "was at")], kb)
     after = {i.id: i for i in kb.items()}
     for item_id, value in before:
         assert after[item_id].value is value  # nothing pre-existing touched
@@ -125,7 +125,7 @@ def test_deterministic_ordering():
 def test_rule_fires_on_true_edge():
     kb = KnowledgeBase()
     build(kb, edges=[("astronauts", "flew to", "moon")])
-    rule = DefeasibleRule("flew to", "was at")
+    rule = RuleStmt("flew to", "was at")
     assert apply_rules([rule], kb) == 1
     edge = kb.edge("was at", kb.entity("astronauts"), kb.entity("moon"))
     assert edge.value is UNKNOWN
@@ -136,7 +136,7 @@ def test_rule_fires_on_true_edge():
 def test_rules_idempotent():
     kb = KnowledgeBase()
     build(kb, edges=[("astronauts", "flew to", "moon")])
-    rule = DefeasibleRule("flew to", "was at")
+    rule = RuleStmt("flew to", "was at")
     apply_rules([rule], kb)
     assert apply_rules([rule], kb) == 0
 
@@ -144,30 +144,30 @@ def test_rules_idempotent():
 def test_false_premise_never_fires():
     kb = KnowledgeBase()
     kb.assert_edge("flew to", kb.upsert_entity("a"), kb.upsert_entity("b"), FALSE)
-    assert apply_rules([DefeasibleRule("flew to", "was at")], kb) == 0
+    assert apply_rules([RuleStmt("flew to", "was at")], kb) == 0
 
 
 def test_asserted_conclusion_left_alone():
     kb = KnowledgeBase()
     build(kb, edges=[("a", "flew to", "b")])
     kb.assert_edge("was at", kb.entity("a"), kb.entity("b"), FALSE)
-    assert apply_rules([DefeasibleRule("flew to", "was at")], kb) == 0
+    assert apply_rules([RuleStmt("flew to", "was at")], kb) == 0
     assert kb.edge("was at", kb.entity("a"), kb.entity("b")).value is FALSE
 
 
 def test_rules_chain_to_fixpoint():
     kb = KnowledgeBase()
     build(kb, edges=[("a", "flew to", "b")])
-    rules = [DefeasibleRule("flew to", "was at"),
-             DefeasibleRule("was at", "saw")]
+    rules = [RuleStmt("flew to", "was at"),
+             RuleStmt("was at", "saw")]
     assert apply_rules(rules, kb) == 2
 
 
 def test_rule_edges_draw_what_apply_rules_stores_and_store_nothing():
     kb = KnowledgeBase()
     build(kb, edges=[("a", "flew to", "b")])
-    rules = [DefeasibleRule("flew to", "was at"),
-             DefeasibleRule("was at", "saw")]
+    rules = [RuleStmt("flew to", "was at"),
+             RuleStmt("was at", "saw")]
     revision = kb.revision
     drawn = {(e.name, e.from_, e.to) for e in rule_edges(rules, kb.edges())}
     assert kb.revision == revision
@@ -198,7 +198,7 @@ def test_rule_edges_over_the_edges_into_an_object(edges, rules, obj, verb):
         with contextlib.suppress(ConflictError):
             kb.assert_edge(premise, kb.upsert_entity(frm),
                            kb.upsert_entity(to), value, prov)
-    rules = [DefeasibleRule(*rule) for rule in rules]
+    rules = [RuleStmt(*rule) for rule in rules]
     target = kb.upsert_entity(obj).id
     everything = rule_edges(rules, kb.edges())
     into = rule_edges(rules, [e for e in kb.edges() if e.to == target])

@@ -297,12 +297,12 @@ def _random_ast(rng):
         a, b = rng.sample(WORDS, 2)
         return lang.LexiconStmt(a, b)
     if kind == 5:
-        return lang.IsAQ(noun(), noun())
+        return lang.Question(lang.MembershipStmt(noun(), noun()))
     if kind == 6:
-        cls = rng.choice([lang.AreAllQ, lang.AreAnyQ])
-        return cls(noun(), rng.choice(WORDS))
+        return lang.Question(lang.CategoricalStmt(rng.choice("AI"), noun(),
+                                                  rng.choice(WORDS)))
     v, o = verb()
-    return lang.DidSpoQ(noun(), v, o)
+    return lang.Question(lang.SpoStmt(noun(), v, o))
 
 
 def test_criterion_8_parser_round_trip():

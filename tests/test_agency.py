@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from exigraph.agency import (Aim, AimClass, Trigger, classify_aim,
-                             fire_triggers)
+from exigraph.agency import Aim, AimClass, classify_aim, fire_triggers
+from exigraph.lang import TriggerStmt
 from exigraph.logic3 import FALSE, TRUE, VALUES
 
 
@@ -37,19 +37,19 @@ def asked(subject="user", obj="question"):
 
 
 def test_trigger_forms_an_aim():
-    trig = Trigger(("*", "asked", "*"), "answer {object}")
+    trig = TriggerStmt("*", "asked", "*", "answer {object}")
     aims = fire_triggers(asked(), [trig])
     assert aims == [Aim("answer question")]
 
 
 def test_nonmatching_item_flies_past():
-    trig = Trigger(("*", "asked", "*"), "answer {object}")
+    trig = TriggerStmt("*", "asked", "*", "answer {object}")
     assert fire_triggers(("ball", "thrown at", "window"), [trig]) == []
 
 
 def test_two_triggers_fire_in_declaration_order():
-    trigs = [Trigger(("user", "*", "*"), "log {verb}"),
-             Trigger(("*", "asked", "*"), "answer {object}")]
+    trigs = [TriggerStmt("user", "*", "*", "log {verb}"),
+             TriggerStmt("*", "asked", "*", "answer {object}")]
     aims = fire_triggers(asked(), trigs)
     assert [a.description for a in aims] == ["log asked", "answer question"]
     aims = fire_triggers(asked(), trigs[::-1])
@@ -58,10 +58,10 @@ def test_two_triggers_fire_in_declaration_order():
 
 def test_all_wildcard_pattern_rejected():
     with pytest.raises(ValueError):
-        Trigger(("*", "*", "*"), "react")
+        TriggerStmt("*", "*", "*", "react")
 
 
 def test_fire_triggers_pure():
-    trig = Trigger(("*", "asked", "*"), "answer {object}")
+    trig = TriggerStmt("*", "asked", "*", "answer {object}")
     assert fire_triggers(asked(), [trig]) == fire_triggers(asked(), [trig])
 

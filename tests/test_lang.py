@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exigraph import lang
-from exigraph.lang import (AreAllQ, AreAnyQ, CategoricalStmt, DidSpoQ, IsAQ,
-                           Lexicon, LexiconStmt, MembershipStmt, ParseError,
-                           RuleStmt, SpoStmt, TriggerStmt,
-                           UnsupportedFormError, parse_question,
-                           parse_statement, render)
+from exigraph.lang import (CategoricalStmt, Lexicon, LexiconStmt,
+                           MembershipStmt, ParseError, Question, RuleStmt,
+                           SpoStmt, TriggerStmt, UnsupportedFormError,
+                           parse_question, parse_statement, render)
 
 MOON_LEXICON = Lexicon({"people": "person", "been to": "was at"})
 
@@ -221,6 +220,16 @@ def test_question_refusals_keep_offset_and_message(line, cls, offset, message):
     assert (err.value.offset, str(err.value)) == (offset, message)
 
 
+@pytest.mark.parametrize("quantifier", ["all", "any"])
+def test_are_question_refuses_a_predicate_the_lexicon_expands(quantifier):
+    with pytest.raises(ParseError) as err:
+        parse_question(f"Are {quantifier} men mortal?",
+                       Lexicon({"mortal": "dying being"}))
+    assert type(err.value) is ParseError
+    assert str(err.value) \
+        == f"are-{quantifier} predicate is a single word at offset 0"
+
+
 def test_parse_error_on_gibberish():
     with pytest.raises(ParseError):
         parse_statement("ha.")
@@ -234,22 +243,35 @@ def test_linking_verb_never_an_spo_verb():
 # -- questions ------------------------------------------------------------
 
 def test_is_a_question():
-    assert parse_question("Is Socrates a man?") == IsAQ("socrates", "man")
+    assert parse_question("Is Socrates a man?") \
+        == Question(MembershipStmt("socrates", "man"))
 
 
 def test_are_all_and_are_any():
-    assert parse_question("Are all men mortal?") == AreAllQ("men", "mortal")
-    assert parse_question("Are any men mortal?") == AreAnyQ("men", "mortal")
+    assert parse_question("Are all men mortal?") \
+        == Question(CategoricalStmt("A", "men", "mortal"))
+    assert parse_question("Are any men mortal?") \
+        == Question(CategoricalStmt("I", "men", "mortal"))
 
 
 def test_have_question_normalized_through_lexicon():
     assert parse_question("Have people been to the Moon?", MOON_LEXICON) \
-        == DidSpoQ("person", "was at", "moon")
+        == Question(SpoStmt("person", "was at", "moon"))
 
 
 def test_did_question_needs_no_lexicon():
     assert parse_question("Did american astronauts fly to the moon?") \
-        == DidSpoQ("american astronauts", "fly to", "moon")
+        == Question(SpoStmt("american astronauts", "fly to", "moon"))
+
+
+@pytest.mark.parametrize("statement", [
+    CategoricalStmt("E", "men", "mortal"),
+    CategoricalStmt("O", "men", "mortal"),
+    RuleStmt("flew to", "was at"),
+])
+def test_question_asks_only_what_a_question_line_can(statement):
+    with pytest.raises(ValueError):
+        Question(statement)
 
 
 def test_cognac_question_rejected_not_answered():
@@ -386,7 +408,7 @@ def test_render_parse_idempotent_on_corpus(line):
 # preposition; are-all/are-any predicates are single words
 WORDS = ["moon", "apple", "garden", "tractor", "driver", "socrates",
          "plato", "athens", "star", "river", "stone", "bird", "fish",
-         "cloud", "signal"]
+         "cloud", "signal", "ıstanbul", "ßo", "ﬁsh"]
 VERB_HEADS = ["sees", "likes", "visited", "painted", "orbits", "follows"]
 
 word = st.sampled_from(WORDS)
@@ -411,10 +433,9 @@ ast_strategy = st.one_of(
     st.builds(LexiconStmt, word, word).filter(
         lambda a: a.surface != a.canonical),
     spo_parts().map(lambda t: TriggerStmt(*t, "react to {object}")),
-    st.builds(IsAQ, noun, noun),
-    st.builds(AreAllQ, noun, word),
-    st.builds(AreAnyQ, noun, word),
-    spo_parts().map(lambda t: DidSpoQ(*t)),
+    st.builds(MembershipStmt, noun, noun).map(Question),
+    st.builds(CategoricalStmt, st.sampled_from("AI"), noun, word).map(Question),
+    spo_parts().map(lambda t: Question(SpoStmt(*t))),
 )
 
 

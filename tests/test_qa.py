@@ -694,6 +694,16 @@ def test_refused_lexicon_entry_leaves_the_session_unchanged(
     assert path.read_text() == stored + "\n"  # no lexicon line
 
 
+@pytest.mark.parametrize("term", ["ıstanbul", "ßo", "ﬁsh"])
+def test_a_term_whose_capital_lowers_to_another_letter_survives_a_save(
+        term, tmp_path):
+    session, question = Session(), f"Is {term} a city?"
+    session.assert_line(f"{term} is a city.")
+    path = str(tmp_path / "s.kb")
+    save_kb(session, path)
+    assert load_kb(path).ask_line(question).render() == "yes (proven)"
+
+
 # -- the cli ---------------------------------------------------------------
 
 def test_ask_exit_zero_and_output(moon_path, capsys):
