@@ -23,22 +23,22 @@ anything once mapped to a canonical verb); anything else - such as
 presupposition-laden forms - is rejected as unsupported rather than
 mis-answered.
 
-Each term is canonicalised once, at the tokenizer: a token is a
-lowercased run of non-whitespace, so a phrase joined from tokens is
-already what :func:`~exigraph.kb.canonical_label` would make of it, and
-nothing downstream canonicalises it again.  :meth:`Lexicon.canon` keeps
-each answer until the mapping next changes, so a term seen before costs
-one dictionary lookup.
+Each line is split once into its lowercased words, and every parse reads
+that one list: a phrase joined from words is already what
+:func:`~exigraph.kb.canonical_label` would make of it, so nothing
+downstream canonicalises it again.  :meth:`Lexicon.canon` keeps each answer
+until the mapping next changes, so a term seen before costs one lookup.
 
-Unsupported or malformed lines raise :class:`ParseError` with a byte
-offset and the token set that was expected; parsing never mutates state.
+Unsupported or malformed lines raise :class:`ParseError` with the expected
+token set and a character offset into the line as typed, which only a
+refusal scans the line again to find; parsing never mutates state.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .kb import canonical_label
 
@@ -267,11 +267,6 @@ class Question:
 
 # -- tokenization and helpers ---------------------------------------------
 
-class _Tok(NamedTuple):
-    text: str  # lowercased, so a phrase joined from tokens is canonical
-    start: int
-
-
 _WORD = re.compile(r"\S+")
 # the line up to its first unquoted "#"; an unclosed quote runs to the end
 _UNCOMMENTED = re.compile(r'(?:"[^"]*(?:"|$)|[^"#])*')
@@ -283,43 +278,60 @@ def _strip_comment(line: str) -> str:
     return _UNCOMMENTED.match(line).group().rstrip()
 
 
-def _tokens(text: str, base: int = 0) -> list[_Tok]:
-    return [_Tok(m.group().lower(), base + m.start())
-            for m in _WORD.finditer(text)]
+def _tokens(text: str) -> list[str]:
+    # lowercased, so a phrase joined from words is canonical
+    return text.lower().split()
 
 
-def _drop_articles(toks: list[_Tok]) -> list[_Tok]:
-    return [t for t in toks if t.text not in ARTICLES]
+def _start(text: str, index: int, first: int = 0, skip=()) -> int:
+    """Where a word of ``text`` starts, in characters as typed: the
+    ``index``-th of its words from the ``first``-th on, not counting those
+    in ``skip``.  Only a refusal needs an offset, so only a refusal scans
+    the line again."""
+    words = list(_WORD.finditer(text))[first:]
+    return [m.start() for m in words if m.group().lower() not in skip][index]
 
 
-def _join(toks: list[_Tok]) -> str:
-    return " ".join(t.text for t in toks)
+def _drop_articles(words: list[str]) -> list[str]:
+    return [w for w in words if w not in ARTICLES]
 
 
-def _split_spo(toks: list[_Tok], offset: int) -> tuple[str, str, str]:
-    """Split article-free tokens into (subject, verb-phrase, object)."""
-    if len(toks) < 3:
+def _first(words: list[str], wanted, start: int = 0) -> Optional[int]:
+    """The index of the first word from ``start`` on that is in ``wanted``."""
+    for i in range(start, len(words)):
+        if words[i] in wanted:
+            return i
+    return None
+
+
+def _split_spo(words: list[str], text: str,
+               first: int = 0) -> tuple[str, str, str]:
+    """Split article-free words into (subject, verb-phrase, object);
+    ``words`` are ``_drop_articles(_tokens(text)[first:])``."""
+    if len(words) < 3:
         raise ParseError("statement too short for subject-verb-object",
-                         offset, ("<subject> <verb> <object>",))
-    prep_idx = next((i for i, t in enumerate(toks)
-                     if t.text in PREPOSITIONS), None)
+                         _start(text, 0), ("<subject> <verb> <object>",))
+    prep_idx = _first(words, PREPOSITIONS)
     if prep_idx is not None:
         if prep_idx < 2:
             raise ParseError("no room for a subject before the verb",
-                             toks[prep_idx].start, ("<noun phrase>",))
+                             _start(text, prep_idx, first, ARTICLES),
+                             ("<noun phrase>",))
         end = prep_idx + 1
-        while end < len(toks) and toks[end].text in PREPOSITIONS:
+        while end < len(words) and words[end] in PREPOSITIONS:
             end += 1
-        if end >= len(toks):
+        if end >= len(words):
             raise ParseError("missing object after preposition",
-                             toks[-1].start, ("<noun phrase>",))
-        subject, verb, obj = toks[:prep_idx - 1], toks[prep_idx - 1:end], toks[end:]
+                             _start(text, -1, first, ARTICLES),
+                             ("<noun phrase>",))
+        subject, verb, obj = words[:prep_idx - 1], words[prep_idx - 1:end], words[end:]
     else:
-        subject, verb, obj = toks[:-2], toks[-2:-1], toks[-1:]
-    if verb[0].text in ("is", "are"):
+        subject, verb, obj = words[:-2], words[-2:-1], words[-1:]
+    if verb[0] in ("is", "are"):
         raise ParseError("linking verbs belong to membership/categorical forms",
-                         verb[0].start, ("<verb phrase>",))
-    return _join(subject), _join(verb), _join(obj)
+                         _start(text, len(subject), first, ARTICLES),
+                         ("<verb phrase>",))
+    return " ".join(subject), " ".join(verb), " ".join(obj)
 
 
 def _require_end(line: str, mark: str, kind: str) -> str:
@@ -336,11 +348,13 @@ _LEXICON_RE = re.compile(
     r"lexicon:\s*(?P<sf>[^=]+?)\s*=\s*(?P<cn>.+?)\s*$", re.I)
 
 
-def _wrap(build, offset: int):
+def _wrap(build, text: str = ""):
+    """Build a record; a refusal becomes a :class:`ParseError` at the first
+    word of ``text``."""
     try:
         return build()
     except ValueError as exc:
-        raise ParseError(str(exc), offset) from exc
+        raise ParseError(str(exc), len(text) - len(text.lstrip())) from exc
 
 
 # -- parsing --------------------------------------------------------------
@@ -352,87 +366,86 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
     if not text.strip():
         raise ParseError("empty statement", 0, ("<statement>",))
     body = _require_end(text, ".", "statement")
-    lowered = body.lstrip().lower()
+    words = _tokens(body)
+    if not words:
+        raise ParseError("empty statement", 0, ("<statement>",))
+    head = words[0]
 
-    if lowered.startswith("lexicon:"):
+    if head.startswith("lexicon:"):
         m = _LEXICON_RE.match(body.strip())
         if not m:
             raise ParseError("malformed lexicon entry", 0,
                              ("lexicon: <surface> = <canonical>.",))
-        return LexiconStmt(canonical_label(m.group("sf")),
-                           canonical_label(m.group("cn")))
+        canonical = canonical_label(m.group("cn"))
+        # no statement could use a canonical form that holds one of these
+        for w in canonical.split():
+            if w in KEYWORDS or w in ARTICLES:
+                raise ParseError("lexicon canonical form may not contain "
+                                 f"the keyword {w!r}", 0)
+        return LexiconStmt(canonical_label(m.group("sf")), canonical)
 
-    if lowered.startswith("rule:"):
+    if head.startswith("rule:"):
         m = _RULE_RE.match(body.strip())
         if not m:
             raise ParseError("malformed rule", 0,
                              ("rule: X <verb phrase> Y => X <verb phrase> Y.",))
         return _wrap(lambda: RuleStmt(lexicon.canon(m.group("pv")),
-                                      lexicon.canon(m.group("cv"))), 0)
+                                      lexicon.canon(m.group("cv"))))
 
-    if lowered.startswith("trigger:"):
+    if head.startswith("trigger:"):
         m = _TRIGGER_RE.match(body.strip())
         if not m:
             raise ParseError("malformed trigger", 0,
                              ('trigger: when <pattern> then "<aim>".',))
-        pat = _drop_articles(_tokens(m.group("pat")))
+        pattern = m.group("pat")
+        # wildcards are legal noun-phrase words in trigger patterns
+        pat = _drop_articles(_tokens(pattern))
+        if len(pat) < 3:
+            raise ParseError("trigger pattern too short", 0,
+                             ("<subject> <verb> <object>",))
         # slots match canonical labels, so they read through the lexicon
         s, v, o = (slot if slot == WILDCARD else lexicon.canon(slot)
-                   for slot in _split_spo_pattern(pat))
-        return _wrap(lambda: TriggerStmt(s, v, o, m.group("txt")), 0)
+                   for slot in _split_spo(pat, pattern))
+        return _wrap(lambda: TriggerStmt(s, v, o, m.group("txt")))
 
-    toks = _tokens(body)
-    if not toks:
-        raise ParseError("empty statement", 0, ("<statement>",))
+    if head in ("all", "no", "some"):
+        return _parse_categorical(words, body, lexicon)
 
-    if toks[0].text in ("all", "no", "some"):
-        return _parse_categorical(toks, lexicon)
-
-    is_idx = next((i for i, t in enumerate(toks) if t.text == "is"), None)
-    if is_idx is not None and is_idx + 1 < len(toks) \
-            and toks[is_idx + 1].text in ("a", "an"):
-        proper = _join(_drop_articles(toks[:is_idx]))
-        set_ = _join(_drop_articles(toks[is_idx + 2:]))
+    is_idx = words.index("is") if "is" in words else len(words)
+    if is_idx + 1 < len(words) and words[is_idx + 1] in ("a", "an"):
+        proper = " ".join(_drop_articles(words[:is_idx]))
+        set_ = " ".join(_drop_articles(words[is_idx + 2:]))
         if not proper or not set_:
             raise ParseError("membership needs a proper noun and a set noun",
-                             toks[is_idx].start, ("<Proper> is a <Noun>.",))
+                             _start(body, is_idx), ("<Proper> is a <Noun>.",))
         return _wrap(lambda: MembershipStmt(lexicon.canon(proper),
-                                            lexicon.canon(set_)),
-                     toks[0].start)
+                                            lexicon.canon(set_)), body)
 
-    s, v, o = _split_spo(_drop_articles(toks), toks[0].start)
+    s, v, o = _split_spo(_drop_articles(words), body)
     return _wrap(lambda: SpoStmt(lexicon.canon(s), lexicon.canon(v),
-                                 lexicon.canon(o)), toks[0].start)
+                                 lexicon.canon(o)), body)
 
 
-def _split_spo_pattern(toks: list[_Tok]) -> tuple[str, str, str]:
-    # wildcards are legal noun-phrase tokens in trigger patterns
-    if len(toks) < 3:
-        raise ParseError("trigger pattern too short", 0,
-                         ("<subject> <verb> <object>",))
-    return _split_spo(toks, toks[0].start)
-
-
-def _parse_categorical(toks: list[_Tok], lexicon: Lexicon) -> CategoricalStmt:
+def _parse_categorical(words: list[str], body: str,
+                       lexicon: Lexicon) -> CategoricalStmt:
     """All/No/Some <Noun> are <Noun>, or Some <Noun> are not <Noun>."""
-    quantifier = toks[0].text
-    are = next((i for i, t in enumerate(toks) if t.text == "are"), None)
-    if are is None or are < 2 or are + 1 >= len(toks):
+    quantifier = words[0]
+    are = words.index("are") if "are" in words else 0
+    if are < 2 or are + 1 >= len(words):
         negation = "[not] " if quantifier == "some" else ""
-        raise ParseError("malformed categorical statement", toks[0].start,
+        raise ParseError("malformed categorical statement", _start(body, 0),
                          (f"{quantifier.capitalize()} <Noun> are "
                           f"{negation}<Noun>.",))
     form = {"all": "A", "no": "E", "some": "I"}[quantifier]
-    rest = toks[are + 1:]
-    if form == "I" and rest[0].text == "not":
+    rest = words[are + 1:]
+    if form == "I" and rest[0] == "not":
         form, rest = "O", rest[1:]
         if not rest:
-            raise ParseError("missing predicate", toks[-1].start, ("<Noun>",))
-    subject = _join(_drop_articles(toks[1:are]))
-    predicate = _join(_drop_articles(rest))
+            raise ParseError("missing predicate", _start(body, -1), ("<Noun>",))
+    subject = " ".join(_drop_articles(words[1:are]))
+    predicate = " ".join(_drop_articles(rest))
     return _wrap(lambda: CategoricalStmt(form, lexicon.canon(subject),
-                                         lexicon.canon(predicate)),
-                 toks[0].start)
+                                         lexicon.canon(predicate)), body)
 
 
 def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> Question:
@@ -443,53 +456,50 @@ def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> Question:
     if not text.strip():
         raise ParseError("empty question", 0, ("<question>",))
     body = _require_end(text, "?", "question")
-    toks = _tokens(body)
-    if not toks:
+    words = _tokens(body)
+    if not words:
         raise ParseError("empty question", 0, ("<question>",))
-    head = toks[0].text
+    head = words[0]
 
     if head == "is":
-        art = next((i for i, t in enumerate(toks)
-                    if i >= 2 and t.text in ("a", "an")), None)
-        if art is None or art + 1 >= len(toks):
-            raise UnsupportedFormError("malformed is-a question", toks[0].start)
-        proper = _join(_drop_articles(toks[1:art]))
-        set_ = _join(_drop_articles(toks[art + 1:]))
+        art = _first(words, ("a", "an"), 2)
+        if art is None or art + 1 >= len(words):
+            raise UnsupportedFormError("malformed is-a question", _start(body, 0))
+        proper = " ".join(_drop_articles(words[1:art]))
+        set_ = " ".join(_drop_articles(words[art + 1:]))
         if not proper or not set_:
-            raise UnsupportedFormError("malformed is-a question", toks[0].start)
+            raise UnsupportedFormError("malformed is-a question", _start(body, 0))
         return _wrap(lambda: Question(MembershipStmt(lexicon.canon(proper),
                                                      lexicon.canon(set_))),
-                     toks[0].start)
+                     body)
 
-    if head == "are" and len(toks) >= 4 and toks[1].text in ("all", "any"):
-        subject = _join(_drop_articles(toks[2:-1]))
-        predicate = toks[-1].text
+    if head == "are" and len(words) >= 4 and words[1] in ("all", "any"):
+        subject = " ".join(_drop_articles(words[2:-1]))
+        predicate = words[-1]
         if not subject:
-            raise UnsupportedFormError("missing subject", toks[1].start)
+            raise UnsupportedFormError("missing subject", _start(body, 1))
         asks = _wrap(lambda: CategoricalStmt(
-            "A" if toks[1].text == "all" else "I", lexicon.canon(subject),
-            lexicon.canon(predicate)), toks[0].start)
+            "A" if words[1] == "all" else "I", lexicon.canon(subject),
+            lexicon.canon(predicate)), body)
         # a lexicon entry may map the one-word predicate to a phrase
         if " " in asks.predicate:
-            raise ParseError(f"are-{toks[1].text} predicate is a single word",
-                             toks[0].start)
+            raise ParseError(f"are-{words[1]} predicate is a single word",
+                             _start(body, 0))
         return Question(asks)
 
     if head in ("did", "have"):
-        rest = _drop_articles(toks[1:])
         try:
-            s, v, o = _split_spo(rest, toks[0].start)
+            s, v, o = _split_spo(_drop_articles(words[1:]), body, 1)
         except ParseError as exc:
-            raise UnsupportedFormError(str(exc), toks[0].start) from exc
+            raise UnsupportedFormError(str(exc), _start(body, 0)) from exc
         if head == "have" and not lexicon.covers(v):
             raise UnsupportedFormError(
                 f"cannot interpret the verb phrase {v!r} in a 'Have' "
-                "question without a lexicon entry", toks[0].start)
+                "question without a lexicon entry", _start(body, 0))
         return _wrap(lambda: Question(SpoStmt(
-            lexicon.canon(s), lexicon.canon(v), lexicon.canon(o))),
-            toks[0].start)
+            lexicon.canon(s), lexicon.canon(v), lexicon.canon(o))), body)
 
-    raise UnsupportedFormError("unsupported question form", toks[0].start)
+    raise UnsupportedFormError("unsupported question form", _start(body, 0))
 
 
 # -- rendering ------------------------------------------------------------

@@ -433,13 +433,15 @@ def _stored_lines(session: Session) -> list[str]:
              for rule in sorted(session.rules, key=lambda r: (r.premise_verb,
                                                               r.conclusion_verb))]
     lines += [lang.render(trig) for trig in session.triggers]
+    # each entity's rows come unsorted, so each group is sorted once
+    own = [kb.rows(entity) for entity in kb.entities()]
     groups = [
-        (kb.memberships(), lambda m: lang.MembershipStmt(label(m.element),
-                                                         label(m.set_))),
+        ((m for ms, _ in own for m in ms), lambda m: lang.MembershipStmt(
+            label(m.element), label(m.set_))),
         (kb.propositions(), lambda p: lang.CategoricalStmt(
             p.form, label(p.subject), label(p.predicate))),
-        (kb.edges(), lambda e: lang.SpoStmt(label(e.from_), e.name,
-                                            label(e.to))),
+        ((e for _, es in own for e in es), lambda e: lang.SpoStmt(
+            label(e.from_), e.name, label(e.to))),
     ]
     for rows, statement in groups:
         lines += sorted(lang.render(statement(item)) for item in rows

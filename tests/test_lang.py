@@ -114,6 +114,7 @@ _NO_OBJECT = "missing object after preposition at offset {} " \
 _MEMBERSHIP = "membership needs a proper noun and a set noun at offset {} " \
               "(expected <Proper> is a <Noun>.)"
 _CATEGORICAL = "malformed categorical statement at offset {} (expected {})"
+_LEXICON = "lexicon canonical form may not contain the keyword {!r} at offset 0"
 
 BAD_STATEMENTS = [
     ("", 0, "empty statement at offset 0 (expected <statement>)"),
@@ -151,6 +152,15 @@ BAD_STATEMENTS = [
     ("Bob really is mortal.", 11, _LINKING.format(11)),
     ("Bob is at home.", 4, _LINKING.format(4)),
     ("Bob is to moon.", 4, _LINKING.format(4)),
+    # any whitespace separates words, and keywords may be in capitals
+    ("Bob\tflew\tto.", 9, _NO_OBJECT.format(9)),
+    ("Bob\u00a0to\u00a0the\u00a0moon.", 4, _NO_SUBJECT.format(4)),
+    ("Bob\u3000really\u3000is\u3000mortal.", 11, _LINKING.format(11)),
+    ("İİ\tis\u00a0a\u3000the.", 3, _MEMBERSHIP.format(3)),
+    ("The\u3000Bob IS to moon.", 8, _LINKING.format(8)),
+    ("\u3000Bob\u00a0is\tat home.", 5, _LINKING.format(5)),
+    ("ALL MEN ARE.", 0, _CATEGORICAL.format(0, "All <Noun> are <Noun>.")),
+    ("SOME men ARE NOT.", 13, "missing predicate at offset 13 (expected <Noun>)"),
     # each refusal of _parse_categorical
     ("No men.", 0, _CATEGORICAL.format(0, "No <Noun> are <Noun>.")),
     ("All are men.", 0, _CATEGORICAL.format(0, "All <Noun> are <Noun>.")),
@@ -172,6 +182,10 @@ BAD_STATEMENTS = [
      f"trigger pattern too short at offset 0 {_SPO}"),
     ('trigger: when * * * then "aim".', 0,
      "trigger pattern needs a concrete slot at offset 0"),
+    # a canonical form that no statement could use
+    ("lexicon: hound = the dog.", 0, _LEXICON.format("the")),
+    ("lexicon: canine = all dogs.", 0, _LEXICON.format("all")),
+    ("lexicon: goes to = is at.", 0, _LEXICON.format("is")),
 ]
 
 BAD_QUESTIONS = [
@@ -196,6 +210,16 @@ BAD_QUESTIONS = [
      f"{_NO_SUBJECT.format(8)}{_FORMS} at offset 0"),
     ("  Did İİ flew to?", UnsupportedFormError, 2,
      f"{_NO_OBJECT.format(14)}{_FORMS} at offset 2"),
+    ("DID Bob TO the moon?", UnsupportedFormError, 0,
+     f"{_NO_SUBJECT.format(8)}{_FORMS} at offset 0"),
+    ("Did\tBob\u00a0flew\u3000to?", UnsupportedFormError, 0,
+     f"{_NO_OBJECT.format(13)}{_FORMS} at offset 0"),
+    ("Did\u00a0the\tİİ\u3000IS\tat home?", UnsupportedFormError, 0,
+     f"{_LINKING.format(11)}{_FORMS} at offset 0"),
+    ("ARE ALL\tthe\u00a0mortal?", UnsupportedFormError, 4,
+     f"missing subject{_FORMS} at offset 4"),
+    ("\u3000Are\tany men?", UnsupportedFormError, 1,
+     f"unsupported question form{_FORMS} at offset 1"),
     ("Have people been to the Moon?", UnsupportedFormError, 0,
      "cannot interpret the verb phrase 'been to' in a 'Have' question "
      f"without a lexicon entry{_FORMS} at offset 0"),
