@@ -13,7 +13,18 @@ Prints, per size, the file's statement lines, the p50 time of one line,
 and the p50 per-file totals of the load and of the check, in
 milliseconds and per line.
 
-    python scripts/load_scaling.py [--individuals 60 600 3000]
+Two more modes time the lexicon.  ``--mode chain`` loads, by
+``qa.load_kb``, a file of K entries ``lexicon: a1 = a2.`` ...
+``lexicon: aK = aK+1.`` (each link added before the next, so every entry
+changes the normal form of all earlier ones) and then ``X is an a1.``;
+it prints the p50 load time, the label the membership is stored under
+and the answer to ``Is X an aK/2?``.  ``--mode entry`` adds one lexicon
+entry, a new word each repeat, to each world above, and prints the p50
+time of that one line.
+
+    python scripts/load_scaling.py [--mode file|chain|entry]
+                                   [--individuals 60 600 3000]
+                                   [--links 500 2000]
                                    [--repeats 5] [--seed 1]
 """
 
@@ -58,13 +69,49 @@ def check(path: str) -> None:
         sys.exit(f"check {path} exited {code}")
 
 
+def chain(links: list[int], repeats: int) -> None:
+    print(f"{'links':>6}  {'load_ms':>8}  {'stored_as':>9}  answer")
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in links:
+            path = os.path.join(tmp, f"chain-{k}.kb")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(f"lexicon: a{i} = a{i + 1}.\n"
+                              for i in range(1, k + 1))
+                fh.write("X is an a1.\n")
+            load = file_ms(lambda: qa.load_kb(path), repeats)
+            session = qa.load_kb(path)
+            (stored,) = session.kb.memberships()
+            answer = session.ask_line(f"Is X an a{k // 2}?").render()
+            print(f"{k:>6}  {load:>8.1f}  {session.kb.label(stored.set_):>9}"
+                  f"  {answer}")
+
+
+def entry(sizes: list[int], repeats: int, seed: int) -> None:
+    print(f"{'individuals':>11}  {'entry_p50_ms':>12}")
+    for n in sizes:
+        session = world(n, random.Random(f"load_scaling:{seed}:{n}"))
+        times = []
+        for i in range(repeats):
+            start = time.perf_counter()
+            session.assert_line(f"lexicon: zebras{i} = zebra{i}.")
+            times.append((time.perf_counter() - start) * 1e3)
+        print(f"{n:>11}  {statistics.median(times):>12.2f}")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--mode", choices=("file", "chain", "entry"),
+                        default="file")
     parser.add_argument("--individuals", type=int, nargs="+",
                         default=[60, 600, 3000])
+    parser.add_argument("--links", type=int, nargs="+", default=[500, 2000])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    if args.mode == "chain":
+        return chain(args.links, args.repeats)
+    if args.mode == "entry":
+        return entry(args.individuals, args.repeats, args.seed)
 
     print(f"{'individuals':>11}  {'lines':>6}  {'line_p50_us':>11}"
           f"  {'load_ms':>8}  {'load_us/line':>12}"

@@ -26,8 +26,13 @@ mis-answered.
 Each line is split once into its lowercased words, and every parse reads
 that one list: a phrase joined from words is already what
 :func:`~exigraph.kb.canonical_label` would make of it, so nothing
-downstream canonicalises it again.  :meth:`Lexicon.canon` keeps each answer
-until the mapping next changes, so a term seen before costs one lookup.
+downstream canonicalises it again.  The lexicon gives every phrase exactly
+one normal form, or refuses the entry that would not, so
+:meth:`Lexicon.canon` is a few table lookups and every stored term is
+already a normal form.  A verb with no preposition is read as the word
+before the last, so a statement or trigger whose object the lexicon
+expands to several words after such a verb is refused: it would not read
+back as written.
 
 Unsupported or malformed lines raise :class:`ParseError` with the expected
 token set and a character offset into the line as typed, which only a
@@ -36,6 +41,8 @@ refusal scans the line again to find; parsing never mutates state.
 
 from __future__ import annotations
 
+import copy
+import graphlib
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -79,77 +86,115 @@ PLURAL_DEFAULTS = {"men": "man", "women": "woman", "people": "person",
 class Lexicon:
     """Surface-form to canonical-form mapping (plurals, synonyms, tenses).
 
+    The mapping is a rewrite system on phrases: an entry whose surface is
+    one word rewrites that word anywhere in a phrase, and an entry whose
+    surface has several words rewrites only a phrase that is exactly it.
+    :meth:`add` refuses an entry under which some phrase would rewrite
+    forever or to two normal forms, so every phrase has exactly one, which
+    :meth:`canon` reads from a table that :meth:`add` rebuilds.
+
     Entries added through :meth:`add` are "user" entries and are the only
     ones reported by :meth:`entries` (and hence persisted); a defaults
-    dict may seed the mapping underneath them.
+    dict may seed the mapping underneath them.  Every phrase given to a
+    method is canonical (:func:`~exigraph.kb.canonical_label`), as the
+    parser makes it.
     """
 
-    def __init__(self, mapping: Optional[dict[str, str]] = None,
-                 defaults: Optional[dict[str, str]] = None):
-        self._remap(dict(defaults or {}))
-        self._user: dict[str, str] = {}
-        for k, v in (mapping or {}).items():
+    def __init__(self, defaults: Optional[dict[str, str]] = None):
+        # every entry (surface -> canonical); each one-word surface's words
+        # rewritten; each surface's normal form; the entries added by hand.
+        # add replaces these dicts and never writes into one (__deepcopy__)
+        self._map = self._word = self._whole = self._user = {}
+        for k, v in (defaults or {}).items():
             self.add(k, v)
+        self._user = {}
 
     @classmethod
     def with_defaults(cls) -> "Lexicon":
-        return cls(defaults=PLURAL_DEFAULTS)
+        return copy.copy(DEFAULT_LEXICON)
+
+    def __deepcopy__(self, memo) -> "Lexicon":
+        return copy.copy(self)  # every value is a str, shared safely
 
     def add(self, surface: str, canonical: str) -> None:
-        surface = canonical_label(surface)
-        canonical = canonical_label(canonical)
+        """Add or replace an entry; a ``ValueError`` leaves the lexicon as
+        it was.  Refused: an entry under which some phrase rewrites forever
+        (``lexicon cycle through``) or has two normal forms (``reads``)."""
         if surface == canonical:
             raise ValueError(f"lexicon entry maps {surface!r} to itself")
-        # the surface may not come back, by a cycle or inside its expansion
-        old = self._map
-        self._remap({**old, surface: canonical})
-        if f" {surface} " in f" {self.canon(surface)} ":
-            self._remap(old)
-            raise ValueError(f"lexicon cycle through {surface!r}")
-        self._user[surface] = canonical
-
-    def _remap(self, mapping: dict[str, str]) -> None:
-        """Every change of the mapping goes through here: it drops the
-        memo of :meth:`canon`, whose answers read the mapping."""
-        self._map, self._memo = mapping, {}
+        mapping, word = {**self._map, surface: canonical}, self._word
+        if surface in word:  # replaced: rewrite words again without it
+            word = Lexicon({s: c for s, c in self._map.items()
+                            if " " not in s and s != surface})._word
+        if " " not in surface:
+            word = _with_word(word, surface, canonical)
+        # a phrase rewrites forever only through a loop of whole phrases;
+        # each is settled after those its own rewriting reaches
+        wholes = [s for s in mapping if " " in s]
+        after = {s: {t for t in wholes if _reaches(mapping, mapping[s], t)
+                     or t != s and _reaches(mapping, s, t)} for s in wholes}
+        try:
+            order = list(graphlib.TopologicalSorter(after).static_order())
+        except graphlib.CycleError:
+            raise ValueError(f"lexicon cycle through {surface!r}") from None
+        new = Lexicon()  # self takes its tables once all checks pass
+        new._map, new._word, new._whole = mapping, word, {}
+        for s in order:
+            # the whole phrase and its words rewritten must agree; a
+            # one-word canonical side is not in the table yet
+            c = mapping[s]
+            nf, by_words = new.canon(word.get(c, c)), new.canon(s)
+            if by_words not in (s, nf):
+                raise ValueError(f"lexicon entry reads {s!r} as both "
+                                 f"{nf!r} and {by_words!r}")
+            new._whole[s] = nf
+        new._whole.update({w: new._whole.get(v, v) for w, v in word.items()})
+        new._user = {**self._user, surface: canonical}
+        self.__dict__ = new.__dict__
 
     def entries(self) -> list[tuple[str, str]]:
         return sorted(self._user.items())
 
     def covers(self, phrase: str) -> bool:
-        phrase = canonical_label(phrase)
         return phrase in self._map or phrase in self._map.values()
 
     def canon(self, phrase: str) -> str:
-        """Apply the mapping to a fixpoint, whole phrase first, then word by
-        word; a phrase with none in 32 steps stays as it is (idempotence).
-        Each answer is kept until the mapping next changes."""
-        found = self._memo.get(phrase)
-        if found is None:
-            found = self._fixpoint(phrase)
-            # an empty mapping keeps none, so EMPTY_LEXICON, which every
-            # caller without a lexicon shares, does not grow
-            if self._map:
-                self._memo[phrase] = found
-        return found
+        """The normal form of a canonical phrase: its own entry's, else
+        that of the phrase with each word rewritten."""
+        if phrase in self._whole or " " not in phrase:
+            return self._whole.get(phrase, phrase)
+        words = " ".join([self._word.get(w, w) for w in phrase.split()])
+        return self._whole.get(words, words)
 
-    def _fixpoint(self, phrase: str) -> str:
-        phrase = original = canonical_label(phrase)
-        for _ in range(32):
-            if phrase in self._map:
-                phrase = self._map[phrase]
-                continue
-            words = [self._map.get(w, w) for w in phrase.split()]
-            replaced = " ".join(words)
-            if replaced == phrase:
-                return phrase
-            if len(replaced) > len(original) + 4096:
-                break  # it keeps growing
-            phrase = replaced
-        return original
+
+def _with_word(word: dict[str, str], surface: str,
+               canonical: str) -> dict[str, str]:
+    """``word``, the rewriting by words of each one-word surface, with the
+    entry ``surface`` -> ``canonical`` added; ``surface`` is not yet one."""
+    rewritten = " ".join([word.get(w, w) for w in canonical.split()])
+    if surface in rewritten.split():
+        raise ValueError(f"lexicon cycle through {surface!r}")
+    return {**{w: v if surface not in v else " ".join(
+        [rewritten if x == surface else x for x in v.split()])
+        for w, v in word.items()}, surface: rewritten}
+
+
+def _reaches(mapping: dict[str, str], phrase: str, target: str) -> bool:
+    """Whether rewriting words of ``phrase`` by the one-word entries of an
+    acyclic ``mapping``, none or some of them, can give ``target``.  Each
+    next word of ``target`` lies on the leftmost branch of what is left,
+    and the words along a branch differ, so the walk never has a choice."""
+    left = phrase.split()[::-1]
+    for word in target.split():
+        while left and left[-1] != word and left[-1] in mapping:
+            left += mapping[left.pop()].split()[::-1]
+        if not left or left.pop() != word:
+            return False
+    return not left
 
 
 EMPTY_LEXICON = Lexicon()
+DEFAULT_LEXICON = Lexicon(PLURAL_DEFAULTS)
 
 def _check_term(term: str, slot: str) -> str:
     if not term:
@@ -231,6 +276,15 @@ class RuleStmt:
 class LexiconStmt:
     surface: str
     canonical: str
+
+    def __post_init__(self):
+        # articles are dropped and keywords never reach a term, so no
+        # statement could use a form that holds one of these
+        for side in ("surface", "canonical"):
+            for w in getattr(self, side).split():
+                if w in KEYWORDS or w in ARTICLES:
+                    raise ValueError(f"lexicon {side} form may not contain "
+                                     f"the keyword {w!r}")
 
 
 @dataclass(frozen=True)
@@ -348,6 +402,15 @@ _LEXICON_RE = re.compile(
     r"lexicon:\s*(?P<sf>[^=]+?)\s*=\s*(?P<cn>.+?)\s*$", re.I)
 
 
+def _object(verb: str, obj: str) -> str:
+    """A stored object as it reads back: a verb with no preposition is
+    followed by a one-word object, so the lexicon may not expand it."""
+    if " " not in verb and " " in obj:
+        raise ValueError(f"the lexicon reads the object as {obj!r}, but "
+                         "a verb without a preposition takes one word")
+    return obj
+
+
 def _wrap(build, text: str = ""):
     """Build a record; a refusal becomes a :class:`ParseError` at the first
     word of ``text``."""
@@ -376,21 +439,16 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
         if not m:
             raise ParseError("malformed lexicon entry", 0,
                              ("lexicon: <surface> = <canonical>.",))
-        canonical = canonical_label(m.group("cn"))
-        # no statement could use a canonical form that holds one of these
-        for w in canonical.split():
-            if w in KEYWORDS or w in ARTICLES:
-                raise ParseError("lexicon canonical form may not contain "
-                                 f"the keyword {w!r}", 0)
-        return LexiconStmt(canonical_label(m.group("sf")), canonical)
+        return _wrap(lambda: LexiconStmt(canonical_label(m.group("sf")),
+                                         canonical_label(m.group("cn"))))
 
     if head.startswith("rule:"):
         m = _RULE_RE.match(body.strip())
         if not m:
             raise ParseError("malformed rule", 0,
                              ("rule: X <verb phrase> Y => X <verb phrase> Y.",))
-        return _wrap(lambda: RuleStmt(lexicon.canon(m.group("pv")),
-                                      lexicon.canon(m.group("cv"))))
+        return _wrap(lambda: RuleStmt(*(lexicon.canon(canonical_label(verb))
+                                        for verb in m.group("pv", "cv"))))
 
     if head.startswith("trigger:"):
         m = _TRIGGER_RE.match(body.strip())
@@ -406,7 +464,7 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
         # slots match canonical labels, so they read through the lexicon
         s, v, o = (slot if slot == WILDCARD else lexicon.canon(slot)
                    for slot in _split_spo(pat, pattern))
-        return _wrap(lambda: TriggerStmt(s, v, o, m.group("txt")))
+        return _wrap(lambda: TriggerStmt(s, v, _object(v, o), m.group("txt")))
 
     if head in ("all", "no", "some"):
         return _parse_categorical(words, body, lexicon)
@@ -421,9 +479,8 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
         return _wrap(lambda: MembershipStmt(lexicon.canon(proper),
                                             lexicon.canon(set_)), body)
 
-    s, v, o = _split_spo(_drop_articles(words), body)
-    return _wrap(lambda: SpoStmt(lexicon.canon(s), lexicon.canon(v),
-                                 lexicon.canon(o)), body)
+    s, v, o = map(lexicon.canon, _split_spo(_drop_articles(words), body))
+    return _wrap(lambda: SpoStmt(s, v, _object(v, o)), body)
 
 
 def _parse_categorical(words: list[str], body: str,

@@ -98,9 +98,10 @@ class Session:
         """Parse and apply one statement line; returns the (subject, verb,
         object) an SPO statement states, for the triggers, else None.
 
-        A lexicon entry is refused when it has a cycle, or when it would
-        change how a stored statement reads back: a saved file lists the
-        lexicon first.
+        A lexicon entry is refused when :meth:`~exigraph.lang.Lexicon.add`
+        refuses it (some phrase would rewrite forever or to two normal
+        forms), or when it would change how a stored statement reads back:
+        a saved file lists the lexicon first.
         """
         ast = lang.parse_statement(line, self.lexicon)
         if isinstance(ast, lang.LexiconStmt):

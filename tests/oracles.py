@@ -4,8 +4,9 @@ These deliberately do not share code with the package: syllogism validity
 is checked over bitmask models, syllogistic closure by naive all-pairs,
 all-moods forward chaining with moods from those models, categorical
 entailment by enumerating every model over Boolean types, existence
-degree by explicit enumeration of all chains, and abduction by a naive
-scan of every (set, property) pair.  They stay independent of the
+degree by explicit enumeration of all chains, abduction by a naive
+scan of every (set, property) pair, and lexicon normal forms by walking
+every sequence of single rewriting steps.  They stay independent of the
 evaluators they check.
 """
 
@@ -290,3 +291,57 @@ def oracle_abduce(kb, x) -> list[tuple[str, tuple[int, int]]]:
             results.append((set_.label, (len(shared), len(members))))
     results.sort(key=lambda r: (-r[1][0], -r[1][1], r[0]))
     return results
+
+
+# -- lexicon normal forms by every sequence of single steps ---------------
+
+class TooManyPhrases(Exception):
+    """The phrases reachable from one phrase exceed the oracle's budget."""
+
+
+def _lexicon_steps(mapping: dict[str, str], phrase: str) -> list[str]:
+    """Every phrase one step away: the whole phrase's entry, or, in a
+    longer phrase, a one-word entry at one position."""
+    out = [mapping[phrase]] if phrase in mapping else []
+    words = phrase.split()
+    if len(words) > 1:
+        out += [" ".join(words[:i] + [mapping[w]] + words[i + 1:])
+                for i, w in enumerate(words) if w in mapping]
+    return out
+
+
+def oracle_lexicon(mapping: dict[str, str], phrase: str,
+                   max_words: int = 64,
+                   max_phrases: int = 5000) -> tuple[set[str], bool]:
+    """(every normal form of ``phrase``, whether some path loops).
+
+    A path loops when it comes back to a phrase on it, or grows past
+    ``max_words`` words (rewriting that only grows never comes back).
+    Once a path loops the walk stops, so the forms may then be partial.
+    Raises :class:`TooManyPhrases` past ``max_phrases`` phrases."""
+    first = _lexicon_steps(mapping, phrase)
+    if not first:
+        return {phrase}, False
+    forms, seen = set(), {phrase}
+    path, on_path = [(phrase, iter(first))], {phrase}
+    while path:
+        current, steps = path[-1]
+        nxt = next(steps, None)
+        if nxt is None:
+            path.pop()
+            on_path.discard(current)
+            continue
+        if nxt in on_path or len(nxt.split()) > max_words:
+            return forms, True
+        if nxt in seen:
+            continue
+        seen.add(nxt)
+        if len(seen) > max_phrases:
+            raise TooManyPhrases(phrase)
+        following = _lexicon_steps(mapping, nxt)
+        if following:
+            path.append((nxt, iter(following)))
+            on_path.add(nxt)
+        else:
+            forms.add(nxt)
+    return forms, False

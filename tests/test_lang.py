@@ -2,15 +2,24 @@ import copy
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from exigraph import lang
 from exigraph.lang import (CategoricalStmt, Lexicon, LexiconStmt,
                            MembershipStmt, ParseError, Question, RuleStmt,
                            SpoStmt, TriggerStmt, UnsupportedFormError,
                            parse_question, parse_statement, render)
+from oracles import TooManyPhrases, oracle_lexicon
 
-MOON_LEXICON = Lexicon({"people": "person", "been to": "was at"})
+
+def lexicon(entries: dict[str, str]) -> Lexicon:
+    lex = Lexicon()
+    for surface, canonical in entries.items():
+        lex.add(surface, canonical)
+    return lex
+
+
+MOON_LEXICON = lexicon({"people": "person", "been to": "was at"})
 
 
 # -- statements -----------------------------------------------------------
@@ -114,7 +123,7 @@ _NO_OBJECT = "missing object after preposition at offset {} " \
 _MEMBERSHIP = "membership needs a proper noun and a set noun at offset {} " \
               "(expected <Proper> is a <Noun>.)"
 _CATEGORICAL = "malformed categorical statement at offset {} (expected {})"
-_LEXICON = "lexicon canonical form may not contain the keyword {!r} at offset 0"
+_LEXICON = "lexicon {} form may not contain the keyword {!r} at offset 0"
 
 BAD_STATEMENTS = [
     ("", 0, "empty statement at offset 0 (expected <statement>)"),
@@ -182,10 +191,13 @@ BAD_STATEMENTS = [
      f"trigger pattern too short at offset 0 {_SPO}"),
     ('trigger: when * * * then "aim".', 0,
      "trigger pattern needs a concrete slot at offset 0"),
-    # a canonical form that no statement could use
-    ("lexicon: hound = the dog.", 0, _LEXICON.format("the")),
-    ("lexicon: canine = all dogs.", 0, _LEXICON.format("all")),
-    ("lexicon: goes to = is at.", 0, _LEXICON.format("is")),
+    # a form that no statement could use
+    ("lexicon: hound = the dog.", 0, _LEXICON.format("canonical", "the")),
+    ("lexicon: canine = all dogs.", 0, _LEXICON.format("canonical", "all")),
+    ("lexicon: goes to = is at.", 0, _LEXICON.format("canonical", "is")),
+    ("lexicon: the dog = hound.", 0, _LEXICON.format("surface", "the")),
+    ("lexicon: is = be.", 0, _LEXICON.format("surface", "is")),
+    ("lexicon: all = every.", 0, _LEXICON.format("surface", "all")),
 ]
 
 BAD_QUESTIONS = [
@@ -248,7 +260,7 @@ def test_question_refusals_keep_offset_and_message(line, cls, offset, message):
 def test_are_question_refuses_a_predicate_the_lexicon_expands(quantifier):
     with pytest.raises(ParseError) as err:
         parse_question(f"Are {quantifier} men mortal?",
-                       Lexicon({"mortal": "dying being"}))
+                       lexicon({"mortal": "dying being"}))
     assert type(err.value) is ParseError
     assert str(err.value) \
         == f"are-{quantifier} predicate is a single word at offset 0"
@@ -320,13 +332,13 @@ def test_question_must_end_with_mark():
 # -- lexicon --------------------------------------------------------------
 
 def test_lexicon_canon_is_idempotent():
-    lex = Lexicon({"people": "person", "been to": "was at"})
+    lex = lexicon({"people": "person", "been to": "was at"})
     assert lex.canon("people") == "person"
     assert lex.canon(lex.canon("people")) == lex.canon("people")
 
 
 def test_lexicon_rejects_cycles():
-    lex = Lexicon({"a": "b"})
+    lex = lexicon({"a": "b"})
     with pytest.raises(ValueError):
         lex.add("b", "a")
     with pytest.raises(ValueError):
@@ -365,7 +377,7 @@ def test_canon_answers_anew_after_an_entry_rewrites_the_phrase():
 
 
 def test_refused_entry_leaves_every_answer_as_it_was():
-    lex = Lexicon({"a": "b", "c": "d e"})
+    lex = lexicon({"a": "b", "c": "d e"})
     phrases = ["a", "b", "c", "a c", "e"]
     before = [lex.canon(p) for p in phrases]
     # the last would replace an entry, and its trial reads "a" as "a"
@@ -381,7 +393,7 @@ def test_entry_on_a_deep_copy_leaves_the_original_unchanged():
     lex = Lexicon.with_defaults()
     assert lex.canon("plato") == "plato"
     trial = copy.deepcopy(lex)
-    # a memo kept through the trial mapping would read this as a cycle
+    # the copy shares the original's tables until an entry replaces them
     trial.add("plato", "socrates")
     assert trial.canon("plato") == "socrates"
     assert lex.canon("plato") == "plato"
@@ -389,8 +401,80 @@ def test_entry_on_a_deep_copy_leaves_the_original_unchanged():
 
 
 def test_lexicon_applies_word_wise_inside_phrases():
-    lex = Lexicon({"astronauts": "astronaut"})
+    lex = lexicon({"astronauts": "astronaut"})
     assert lex.canon("american astronauts") == "american astronaut"
+
+
+def test_a_long_chain_keeps_its_meaning():
+    lex = Lexicon.with_defaults()
+    for i in range(1, 41):
+        lex.add(f"a{i}", f"a{i + 1}")
+    assert {lex.canon(f"a{i}") for i in range(1, 42)} == {"a41"}
+    assert lex.canon("big a1") == "big a41"
+
+
+@pytest.mark.parametrize("entries, refused, message", [
+    ([("large dog", "hound"), ("big", "large")], ("large", "huge"),
+     "lexicon entry reads 'large dog' as both 'hound' and 'huge dog'"),
+    ([], ("young men", "youth"),
+     "lexicon entry reads 'young men' as both 'youth' and 'young man'"),
+    # "c a" rewrites to "c men" by a word, and back by the whole phrase
+    ([("a", "men")], ("c men", "c a"), "lexicon cycle through 'c men'"),
+    ([("c man", "c b")], ("b", "man"), "lexicon cycle through 'b'"),
+])
+def test_entry_refused_unless_each_phrase_keeps_one_normal_form(
+        entries, refused, message):
+    lex = Lexicon.with_defaults()
+    for entry in entries:
+        lex.add(*entry)
+    before = lex.entries()
+    with pytest.raises(ValueError) as err:
+        lex.add(*refused)
+    assert str(err.value) == message
+    assert lex.entries() == before
+
+
+def test_an_expansion_that_holds_its_surface_in_a_longer_phrase_is_kept():
+    lex = Lexicon.with_defaults()
+    lex.add("man", "c e d")
+    lex.add("e c", "e men")  # "e c e d" holds "e c", but never rewrites
+    assert lex.canon("e c") == "e c e d"
+
+
+_POOL = ["a", "b", "c", "d", "e", "men", "man"]
+_pool_phrase = st.lists(st.sampled_from(_POOL), min_size=1,
+                        max_size=2).map(" ".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_pool_phrase, _pool_phrase), max_size=5),
+       st.lists(st.lists(st.sampled_from(_POOL), min_size=1,
+                         max_size=3).map(" ".join), max_size=4))
+def test_lexicon_matches_a_rewriting_oracle(entries, probes):
+    """Each accepted entry leaves every phrase one normal form, which canon
+    gives; each refused one would give some phrase two, or a loop."""
+    lex, mapping = Lexicon.with_defaults(), dict(lang.PLURAL_DEFAULTS)
+    for surface, canonical in entries:
+        if surface == canonical:
+            continue
+        trial = {**mapping, surface: canonical}
+        try:
+            lex.add(surface, canonical)
+        except ValueError:
+            results = [_explore(trial, p) for p in trial]
+            assert any(loops or len(forms) > 1 for forms, loops in results)
+            continue
+        mapping = trial
+        for phrase in {*probes, *mapping, *mapping.values()}:
+            forms, loops = _explore(mapping, phrase)
+            assert not loops and forms == {lex.canon(phrase)}, phrase
+
+
+def _explore(mapping, phrase):
+    try:
+        return oracle_lexicon(mapping, phrase)
+    except TooManyPhrases:
+        reject()  # a rare lexicon that doubles a word at each of 4+ steps
 
 
 # -- rendering and round trips --------------------------------------------

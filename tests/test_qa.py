@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exigraph import abduction, cli, qa, syllogistics
+from exigraph import abduction, cli, lang, qa, syllogistics
 from exigraph.agency import AimClass
 from exigraph.kb import KbError, KnowledgeBase
 from exigraph.logic3 import TRUE, UNKNOWN
@@ -613,6 +613,8 @@ def test_repl_fuzz_never_raises(lines):
 @example(["Plato is a philosopher.", "lexicon: plato = socrates."])
 @example(["lexicon: men = mortal.", "lexicon: man = men."])
 @example(["lexicon: x y = z.", "lexicon: w = x y.", "lexicon: x = w."])
+@example(["lexicon: moon = big rock.", "Bob went to the moon.",
+          "Bob sees the moon."])
 def test_save_load_save_byte_identical_after_any_script(lines):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "1.kb"), os.path.join(tmp, "2.kb")
@@ -692,6 +694,32 @@ def test_refused_lexicon_entry_leaves_the_session_unchanged(
     assert lines[1].startswith("error: ")
     assert lines[2:] == ["yes (proven)", "ok #1", "ok #1", "yes (proven)"]
     assert path.read_text() == stored + "\n"  # no lexicon line
+
+
+def test_a_term_reached_through_a_long_lexicon_chain_is_stored_canonical():
+    session = Session()
+    for i in range(1, 41):
+        session.assert_line(f"lexicon: a{i} = a{i + 1}.")
+    session.assert_line("X is an a1.")
+    (stored,) = session.kb.memberships()
+    assert session.kb.label(stored.set_) == "a41"
+    for i in (1, 20, 40, 41):
+        assert session.ask_line(f"Is X an a{i}?").render() == "yes (proven)"
+
+
+@pytest.mark.parametrize("line", [
+    "Bob sees the moon.", 'trigger: when * sees moon then "look".'])
+def test_an_object_the_lexicon_expands_needs_a_preposition(line, tmp_path):
+    """``Bob sees big rock.`` would read back with the verb ``big``."""
+    session, path = Session(), str(tmp_path / "s.kb")
+    session.assert_line("lexicon: moon = big rock.")
+    session.assert_line("Bob went to the moon.")
+    with pytest.raises(lang.ParseError, match="'big rock'"):
+        session.assert_line(line)
+    save_kb(session, path)
+    loaded = load_kb(path)
+    assert loaded.triggers == []
+    assert list(loaded.kb.items()) == list(session.kb.items())
 
 
 @pytest.mark.parametrize("term", ["ıstanbul", "ßo", "ﬁsh"])

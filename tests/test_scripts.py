@@ -17,6 +17,11 @@ SCRIPTS = {
     "mood_census.py": ["--countermodels"],
     "moon_demo.py": [],
 }
+# the lexicon modes of load_scaling.py, beside its default file mode
+LOAD_SCALING_MODES = {
+    "chain": ["--mode", "chain", "--links", "3", "40", "--repeats", "1"],
+    "entry": ["--mode", "entry", "--individuals", "20", "--repeats", "2"],
+}
 
 
 def run_script(name: str, args: list[str]) -> subprocess.CompletedProcess:
@@ -35,6 +40,13 @@ def test_every_script_is_covered():
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
 def test_script_exits_zero(name):
     proc = run_script(name, SCRIPTS[name])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+
+
+@pytest.mark.parametrize("mode", sorted(LOAD_SCALING_MODES))
+def test_load_scaling_mode_exits_zero(mode):
+    proc = run_script("load_scaling.py", LOAD_SCALING_MODES[mode])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
