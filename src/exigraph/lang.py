@@ -27,8 +27,8 @@ Each line is split once into its lowercased words, and every parse reads
 that one list: a phrase joined from words is already what
 :func:`~exigraph.kb.canonical_label` would make of it, so nothing
 downstream canonicalises it again.  The lexicon gives every phrase exactly
-one normal form, or refuses the entry that would not, so
-:meth:`Lexicon.canon` is a few table lookups and every stored term is
+one normal form, of bounded length, or refuses the entry that would not,
+so :meth:`Lexicon.canon` is a few table lookups and every stored term is
 already a normal form.  A verb with no preposition is read as the word
 before the last, so a statement or trigger whose object the lexicon
 expands to several words after such a verb is refused: it would not read
@@ -81,6 +81,7 @@ class UnsupportedFormError(ParseError):
 # just a default lexicon that user entries may override
 PLURAL_DEFAULTS = {"men": "man", "women": "woman", "people": "person",
                    "children": "child"}
+MAX_WORDS = 1024  # the most words a one-word surface rewrites to
 
 
 class Lexicon:
@@ -90,8 +91,9 @@ class Lexicon:
     one word rewrites that word anywhere in a phrase, and an entry whose
     surface has several words rewrites only a phrase that is exactly it.
     :meth:`add` refuses an entry under which some phrase would rewrite
-    forever or to two normal forms, so every phrase has exactly one, which
-    :meth:`canon` reads from a table that :meth:`add` rebuilds.
+    forever or to two normal forms, or a word would read as more than
+    :data:`MAX_WORDS` words, so every phrase has exactly one normal form,
+    which :meth:`canon` reads from tables that :meth:`add` keeps.
 
     Entries added through :meth:`add` are "user" entries and are the only
     ones reported by :meth:`entries` (and hence persisted); a defaults
@@ -101,10 +103,13 @@ class Lexicon:
     """
 
     def __init__(self, defaults: Optional[dict[str, str]] = None):
-        # every entry (surface -> canonical); each one-word surface's words
-        # rewritten; each surface's normal form; the entries added by hand.
-        # add replaces these dicts and never writes into one (__deepcopy__)
-        self._map = self._word = self._whole = self._user = {}
+        # every entry (surface -> canonical) and those added by hand; each
+        # one-word surface's words rewritten, and for each word the
+        # one-word surfaces whose canonical form holds it; each multi-word
+        # surface's normal form.  add replaces these and never writes into
+        # one, so a shallow copy is a deep one
+        self._map, self._user, self._word, self._readers, self._whole = (
+            {}, {}, {}, {}, {})
         for k, v in (defaults or {}).items():
             self.add(k, v)
         self._user = {}
@@ -114,43 +119,45 @@ class Lexicon:
         return copy.copy(DEFAULT_LEXICON)
 
     def __deepcopy__(self, memo) -> "Lexicon":
-        return copy.copy(self)  # every value is a str, shared safely
+        return copy.copy(self)
 
     def add(self, surface: str, canonical: str) -> None:
         """Add or replace an entry; a ``ValueError`` leaves the lexicon as
         it was.  Refused: an entry under which some phrase rewrites forever
-        (``lexicon cycle through``) or has two normal forms (``reads``)."""
+        (``lexicon cycle through``), has two normal forms or reads as too
+        many words (``lexicon entry reads``)."""
         if surface == canonical:
             raise ValueError(f"lexicon entry maps {surface!r} to itself")
-        mapping, word = {**self._map, surface: canonical}, self._word
-        if surface in word:  # replaced: rewrite words again without it
-            word = Lexicon({s: c for s, c in self._map.items()
-                            if " " not in s and s != surface})._word
+        mapping, whole = {**self._map, surface: canonical}, self._whole
+        word, readers, changed = dict(self._word), dict(self._readers), set()
+        if surface in word:  # replaced: read without it what read through it
+            for w in set(self._map[surface].split()):
+                readers[w] = readers[w] - {surface}
+            del word[surface]
+            users = _users(readers, surface) - {surface}
+            graph = {u: [w for w in mapping[u].split() if w in users]
+                     for u in users}  # each read after those it reads
+            for u in graphlib.TopologicalSorter(graph).static_order():
+                word[u] = " ".join([word.get(w, w)
+                                    for w in mapping[u].split()])
         if " " not in surface:
-            word = _with_word(word, surface, canonical)
-        # a phrase rewrites forever only through a loop of whole phrases;
-        # each is settled after those its own rewriting reaches
-        wholes = [s for s in mapping if " " in s]
-        after = {s: {t for t in wholes if _reaches(mapping, mapping[s], t)
-                     or t != s and _reaches(mapping, s, t)} for s in wholes}
-        try:
-            order = list(graphlib.TopologicalSorter(after).static_order())
-        except graphlib.CycleError:
-            raise ValueError(f"lexicon cycle through {surface!r}") from None
-        new = Lexicon()  # self takes its tables once all checks pass
-        new._map, new._word, new._whole = mapping, word, {}
-        for s in order:
-            # the whole phrase and its words rewritten must agree; a
-            # one-word canonical side is not in the table yet
-            c = mapping[s]
-            nf, by_words = new.canon(word.get(c, c)), new.canon(s)
-            if by_words not in (s, nf):
-                raise ValueError(f"lexicon entry reads {s!r} as both "
-                                 f"{nf!r} and {by_words!r}")
-            new._whole[s] = nf
-        new._whole.update({w: new._whole.get(v, v) for w, v in word.items()})
-        new._user = {**self._user, surface: canonical}
-        self.__dict__ = new.__dict__
+            changed = _fold(word, readers, surface, canonical)
+        if " " in surface and surface not in whole \
+                and not any(w in word for w in surface.split()):
+            # a new phrase no word of which rewrites: it, and each phrase
+            # that read as it, now reads as its entry does
+            nf = self.canon(canonical)
+            if nf == surface:
+                raise ValueError(f"lexicon cycle through {surface!r}")
+            whole = {**{s: nf if v == surface else v
+                        for s, v in whole.items()}, surface: nf}
+        elif " " in surface or any(w in changed for s in whole
+                                   for w in f"{s} {mapping[s]}".split()):
+            # else a multi-word entry, or a word in one, is read anew
+            whole = _wholes(mapping, word, surface)
+        self._map, self._word, self._readers, self._whole = (
+            mapping, word, readers, whole)
+        self._user = {**self._user, surface: canonical}
 
     def entries(self) -> list[tuple[str, str]]:
         return sorted(self._user.items())
@@ -158,25 +165,85 @@ class Lexicon:
     def covers(self, phrase: str) -> bool:
         return phrase in self._map or phrase in self._map.values()
 
+    def any_order(self) -> bool:
+        """Whether the entries are taken in any order, as when no entry
+        replaces a default and no multi-word surface holds a one-word one:
+        then no phrase has two ways to rewrite, and fewer entries rewrite
+        less, so every subset is taken."""
+        return (not self._user.keys() & PLURAL_DEFAULTS.keys() and not any(
+            w in self._word for s in self._whole for w in s.split()))
+
     def canon(self, phrase: str) -> str:
         """The normal form of a canonical phrase: its own entry's, else
         that of the phrase with each word rewritten."""
-        if phrase in self._whole or " " not in phrase:
-            return self._whole.get(phrase, phrase)
-        words = " ".join([self._word.get(w, w) for w in phrase.split()])
-        return self._whole.get(words, words)
+        if " " not in phrase:
+            phrase = self._word.get(phrase, phrase)
+        elif phrase not in self._whole:
+            phrase = " ".join([self._word.get(w, w) for w in phrase.split()])
+        return self._whole.get(phrase, phrase)
 
 
-def _with_word(word: dict[str, str], surface: str,
-               canonical: str) -> dict[str, str]:
-    """``word``, the rewriting by words of each one-word surface, with the
-    entry ``surface`` -> ``canonical`` added; ``surface`` is not yet one."""
-    rewritten = " ".join([word.get(w, w) for w in canonical.split()])
-    if surface in rewritten.split():
+def _fold(word: dict[str, str], readers: dict[str, frozenset[str]],
+          surface: str, canonical: str) -> set[str]:
+    """Add the entry ``surface`` -> ``canonical``, where ``surface`` is a
+    word that is not yet a surface, to ``word``, each one-word surface's
+    words rewritten, and ``readers``, for each word the one-word surfaces
+    whose canonical form holds it; returns the surfaces read anew."""
+    users = _users(readers, surface)
+    value = " ".join([word.get(w, w) for w in canonical.split()])
+    words = value.split()
+    if surface in words:
         raise ValueError(f"lexicon cycle through {surface!r}")
-    return {**{w: v if surface not in v else " ".join(
-        [rewritten if x == surface else x for x in v.split()])
-        for w, v in word.items()}, surface: rewritten}
+    for u in users:
+        held = word.get(u, surface).split()
+        if len(held) + held.count(surface) * (len(words) - 1) > MAX_WORDS:
+            raise ValueError(f"lexicon entry reads {u!r} as more than "
+                             f"{MAX_WORDS} words")
+        word[u] = value if held == [surface] else " ".join(
+            [value if w == surface else w for w in held])
+    for w in set(canonical.split()):
+        readers[w] = readers.get(w, frozenset()) | {surface}
+    return users
+
+
+def _users(readers: dict[str, frozenset[str]], word: str) -> set[str]:
+    """``word`` and the one-word surfaces whose canonical form holds it, or
+    holds one of them: those that rewrite through ``word``."""
+    users, todo = {word}, [word]
+    while todo:
+        found = readers.get(todo.pop(), frozenset()) - users
+        users |= found
+        todo += found
+    return users
+
+
+def _wholes(mapping: dict[str, str], word: dict[str, str],
+            surface: str) -> dict[str, str]:
+    """The normal form of each multi-word surface of ``mapping``, whose
+    one-word surfaces rewrite as ``word`` says; ``surface`` is the entry
+    just added."""
+    view = Lexicon()  # reads through the tables as they are built
+    view._word, whole, canon = word, view._whole, view.canon
+    wholes, members = [s for s in mapping if " " in s], {}
+    for s in wholes:  # those a phrase may rewrite to have its words' reading
+        members.setdefault(canon(s), []).append(s)
+    # a phrase rewrites forever only through a loop of whole phrases; each
+    # is settled after those its own rewriting reaches
+    after = {s: {t for t in members.get(canon(mapping[s]), [])
+                 + members[canon(s)]
+                 if _reaches(mapping, mapping[s], t)
+                 or t != s and _reaches(mapping, s, t)} for s in wholes}
+    try:
+        order = list(graphlib.TopologicalSorter(after).static_order())
+    except graphlib.CycleError:
+        raise ValueError(f"lexicon cycle through {surface!r}") from None
+    for s in order:  # the whole phrase and its words rewritten must agree
+        nf, by_words = canon(mapping[s]), canon(s)
+        if by_words not in (s, nf):
+            raise ValueError(f"lexicon entry reads {s!r} as both "
+                             f"{nf!r} and {by_words!r}")
+        whole[s] = nf
+    return whole
 
 
 def _reaches(mapping: dict[str, str], phrase: str, target: str) -> bool:

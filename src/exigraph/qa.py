@@ -24,6 +24,7 @@ is what lets set-level evidence answer questions about broader sets.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import os
@@ -99,9 +100,10 @@ class Session:
         object) an SPO statement states, for the triggers, else None.
 
         A lexicon entry is refused when :meth:`~exigraph.lang.Lexicon.add`
-        refuses it (some phrase would rewrite forever or to two normal
-        forms), or when it would change how a stored statement reads back:
-        a saved file lists the lexicon first.
+        refuses it (some phrase would rewrite forever, to two normal forms
+        or to too many words), or when it would change how a stored
+        statement reads back, or refuse it: a saved file lists the lexicon
+        first.
         """
         ast = lang.parse_statement(line, self.lexicon)
         if isinstance(ast, lang.LexiconStmt):
@@ -112,9 +114,11 @@ class Session:
             except ValueError as exc:
                 raise lang.ParseError(str(exc)) from exc
             for line in _stored_lines(self):
-                if lang.parse_statement(line, trial) \
-                        != lang.parse_statement(line, self.lexicon):
-                    raise lang.ParseError(f"lexicon entry would change {line!r}")
+                with contextlib.suppress(lang.ParseError):  # or refuses it
+                    if lang.parse_statement(line, trial) \
+                            == lang.parse_statement(line, self.lexicon):
+                        continue
+                raise lang.ParseError(f"lexicon entry would change {line!r}")
             self.lexicon = trial
         elif isinstance(ast, lang.RuleStmt):
             if ast not in self.rules:
@@ -456,8 +460,11 @@ def _lexicon_lines(lexicon: lang.Lexicon) -> list[str]:
     a time: each is the first entry left, in label order, that a fresh
     session's lexicon holding the lines before it takes.  An entry may
     need one later in label order: ``man = men`` reads as a cycle until
-    ``men = mortal`` replaces the default ``men = man``."""
+    ``men = mortal`` replaces the default ``men = man``.  A lexicon that
+    takes its entries in any order is written in label order unchecked."""
     trial, left, lines = lang.Lexicon.with_defaults(), lexicon.entries(), []
+    if lexicon.any_order():
+        return [lang.render(lang.LexiconStmt(*entry)) for entry in left]
     while left:
         for i, entry in enumerate(left):
             try:

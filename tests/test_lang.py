@@ -1,5 +1,7 @@
 import copy
 import itertools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -439,6 +441,42 @@ def test_an_expansion_that_holds_its_surface_in_a_longer_phrase_is_kept():
     lex.add("man", "c e d")
     lex.add("e c", "e men")  # "e c e d" holds "e c", but never rewrites
     assert lex.canon("e c") == "e c e d"
+
+
+@pytest.mark.parametrize("links, refused", [
+    (range(1, 40), "a1"),  # each entry doubles every earlier reading
+    (range(39, 0, -1), "a29"),  # each entry reads as two of the last
+])
+def test_a_doubling_chain_is_refused_past_the_word_limit(links, refused):
+    """A reading may hold MAX_WORDS words; the entry that would pass that
+    is refused before the reading is built, so refusing it is cheap."""
+    lex, start = Lexicon.with_defaults(), time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            for i in links:
+                lex.add(f"a{i}", f"a{i + 1} a{i + 1}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) \
+        == f"lexicon entry reads {refused!r} as more than 1024 words"
+    assert max(len(lex.canon(f"a{i}").split()) for i in links) == 1024
+    assert time.perf_counter() - start < 5 and peak < 8 * 2**20
+
+
+def test_replacing_a_link_rereads_the_chain_through_it():
+    lex = Lexicon.with_defaults()
+    for i in range(1, 6):
+        lex.add(f"a{i}", f"a{i + 1}")
+    lex.add("a3", "b men")
+    assert [lex.canon(f"a{i}") for i in range(1, 7)] \
+        == ["b man"] * 3 + ["a6"] * 3
+    lex.add("a3", "a5")
+    lex.add("b", "a1")
+    assert {lex.canon(w) for w in ("a1", "a3", "b")} == {"a6"}
+    with pytest.raises(ValueError, match="lexicon cycle through 'a3'"):
+        lex.add("a3", "b")
 
 
 _POOL = ["a", "b", "c", "d", "e", "men", "man"]

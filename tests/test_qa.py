@@ -696,6 +696,16 @@ def test_refused_lexicon_entry_leaves_the_session_unchanged(
     assert path.read_text() == stored + "\n"  # no lexicon line
 
 
+def test_a_lexicon_entry_a_stored_line_would_refuse_names_that_line():
+    session = Session()
+    session.assert_line("Bob sees moon.")
+    with pytest.raises(lang.ParseError) as err:
+        session.assert_line("lexicon: moon = big rock.")
+    assert str(err.value) \
+        == "lexicon entry would change 'Bob sees moon.' at offset 0"
+    assert session.lexicon.canon("moon") == "moon"
+
+
 def test_a_term_reached_through_a_long_lexicon_chain_is_stored_canonical():
     session = Session()
     for i in range(1, 41):

@@ -9,18 +9,16 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# each case is a script, with the mode it runs in if it has several
 SCRIPTS = {
     "ask_scaling.py": ["--individuals", "20", "--questions", "10"],
     "closure_scaling.py": ["--links", "3", "7"],
     "existence_survey.py": ["--trials", "5"],
     "load_scaling.py": ["--individuals", "20", "--repeats", "2"],
+    "load_scaling.py --mode chain": ["--links", "3", "40", "--repeats", "1"],
+    "load_scaling.py --mode entry": ["--individuals", "20", "--repeats", "2"],
     "mood_census.py": ["--countermodels"],
     "moon_demo.py": [],
-}
-# the lexicon modes of load_scaling.py, beside its default file mode
-LOAD_SCALING_MODES = {
-    "chain": ["--mode", "chain", "--links", "3", "40", "--repeats", "1"],
-    "entry": ["--mode", "entry", "--individuals", "20", "--repeats", "2"],
 }
 
 
@@ -33,20 +31,14 @@ def run_script(name: str, args: list[str]) -> subprocess.CompletedProcess:
 
 
 def test_every_script_is_covered():
-    assert sorted(p.name for p in (ROOT / "scripts").glob("*.py")) \
-        == sorted(SCRIPTS)
+    assert {p.name for p in (ROOT / "scripts").glob("*.py")} \
+        == {case.split()[0] for case in SCRIPTS}
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_script_exits_zero(name):
-    proc = run_script(name, SCRIPTS[name])
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
-
-
-@pytest.mark.parametrize("mode", sorted(LOAD_SCALING_MODES))
-def test_load_scaling_mode_exits_zero(mode):
-    proc = run_script("load_scaling.py", LOAD_SCALING_MODES[mode])
+@pytest.mark.parametrize("case", sorted(SCRIPTS))
+def test_script_exits_zero(case):
+    name, *mode = case.split()
+    proc = run_script(name, mode + SCRIPTS[case])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
 
