@@ -179,7 +179,9 @@ class Lexicon:
         if " " not in phrase:
             phrase = self._word.get(phrase, phrase)
         elif phrase not in self._whole:
-            phrase = " ".join([self._word.get(w, w) for w in phrase.split()])
+            words = phrase.split()
+            if not self._word.keys().isdisjoint(words):  # some word rewrites
+                phrase = " ".join([self._word.get(w, w) for w in words])
         return self._whole.get(phrase, phrase)
 
 
