@@ -29,10 +29,11 @@ that one list: a phrase joined from words is already what
 downstream canonicalises it again.  The lexicon gives every phrase exactly
 one normal form, of bounded length, or refuses the entry that would not,
 so :meth:`Lexicon.canon` is a few table lookups and every stored term is
-already a normal form.  A verb with no preposition is read as the word
-before the last, so a statement or trigger whose object the lexicon
-expands to several words after such a verb is refused: it would not read
-back as written.
+already a normal form.  A lexicon is a value: an entry gives a new one,
+and :meth:`Lexicon.entries` gives the order a save writes the entries in.
+A verb with no preposition is read as the word before the last, so a
+statement or trigger whose object the lexicon expands to several words
+after such a verb is refused: it would not read back as written.
 
 Unsupported or malformed lines raise :class:`ParseError` with the expected
 token set and a character offset into the line as typed, which only a
@@ -41,7 +42,7 @@ refusal scans the line again to find; parsing never mutates state.
 
 from __future__ import annotations
 
-import copy
+import functools
 import graphlib
 import re
 from dataclasses import dataclass
@@ -93,39 +94,34 @@ class Lexicon:
     :meth:`add` refuses an entry under which some phrase would rewrite
     forever or to two normal forms, or a word would read as more than
     :data:`MAX_WORDS` words, so every phrase has exactly one normal form,
-    which :meth:`canon` reads from tables that :meth:`add` keeps.
+    which :meth:`canon` reads from tables that :meth:`add` builds.
 
-    Entries added through :meth:`add` are "user" entries and are the only
-    ones reported by :meth:`entries` (and hence persisted); a defaults
-    dict may seed the mapping underneath them.  Every phrase given to a
-    method is canonical (:func:`~exigraph.kb.canonical_label`), as the
-    parser makes it.
+    A lexicon is a value: :meth:`add` returns a new lexicon and leaves its
+    receiver as it was, so :data:`EMPTY_LEXICON` and
+    :data:`DEFAULT_LEXICON` never change.  The entries added on top of the
+    plural defaults are those :meth:`entries` reports, and a save writes.
+    Every phrase given to a method is canonical
+    (:func:`~exigraph.kb.canonical_label`), as the parser makes it.
     """
 
-    def __init__(self, defaults: Optional[dict[str, str]] = None):
-        # every entry (surface -> canonical) and those added by hand; each
-        # one-word surface's words rewritten, and for each word the
-        # one-word surfaces whose canonical form holds it; each multi-word
-        # surface's normal form.  add replaces these and never writes into
-        # one, so a shallow copy is a deep one
+    def __init__(self):
+        # every entry (surface -> canonical) and those added on top of the
+        # defaults; each one-word surface's words rewritten, and for each
+        # word the one-word surfaces whose canonical form holds it; each
+        # multi-word surface's normal form.  No table is written into once
+        # a lexicon is built, so lexicons share them
         self._map, self._user, self._word, self._readers, self._whole = (
             {}, {}, {}, {}, {})
-        for k, v in (defaults or {}).items():
-            self.add(k, v)
-        self._user = {}
 
     @classmethod
     def with_defaults(cls) -> "Lexicon":
-        return copy.copy(DEFAULT_LEXICON)
+        return DEFAULT_LEXICON
 
-    def __deepcopy__(self, memo) -> "Lexicon":
-        return copy.copy(self)
-
-    def add(self, surface: str, canonical: str) -> None:
-        """Add or replace an entry; a ``ValueError`` leaves the lexicon as
-        it was.  Refused: an entry under which some phrase rewrites forever
-        (``lexicon cycle through``), has two normal forms or reads as too
-        many words (``lexicon entry reads``)."""
+    def add(self, surface: str, canonical: str) -> "Lexicon":
+        """This lexicon with an entry added or replaced; the receiver is
+        left as it was.  Refused with a ``ValueError``: an entry under which
+        some phrase rewrites forever (``lexicon cycle through``), has two
+        normal forms or reads as too many words (``lexicon entry reads``)."""
         if surface == canonical:
             raise ValueError(f"lexicon entry maps {surface!r} to itself")
         mapping, whole = {**self._map, surface: canonical}, self._whole
@@ -155,23 +151,41 @@ class Lexicon:
                                    for w in f"{s} {mapping[s]}".split()):
             # else a multi-word entry, or a word in one, is read anew
             whole = _wholes(mapping, word, surface)
-        self._map, self._word, self._readers, self._whole = (
+        new = Lexicon()
+        new._map, new._word, new._readers, new._whole = (
             mapping, word, readers, whole)
-        self._user = {**self._user, surface: canonical}
+        new._user = {**self._user, surface: canonical}
+        return new
 
     def entries(self) -> list[tuple[str, str]]:
-        return sorted(self._user.items())
+        """The entries added on top of the defaults, in an order in which
+        :data:`DEFAULT_LEXICON` takes them one at a time: each is the first
+        entry left, in label order, that the lexicon holding those before
+        it takes.  An entry may need one later in label order: ``man =
+        men`` reads as a cycle until ``men = mortal`` replaces the default
+        ``men = man``.  When no entry replaces a default and no multi-word
+        surface holds a one-word one, no phrase has two ways to rewrite
+        and fewer entries rewrite less, so every order is taken and label
+        order is given unchecked."""
+        left = sorted(self._user.items())
+        if not self._user.keys() & PLURAL_DEFAULTS.keys() and not any(
+                w in self._word for s in self._whole for w in s.split()):
+            return left
+        trial, order = DEFAULT_LEXICON, []
+        while left:
+            for i, entry in enumerate(left):
+                try:
+                    trial = trial.add(*entry)
+                    break
+                except ValueError:
+                    continue
+            else:
+                i = 0  # none is taken: keep label order, which will not load
+            order.append(left.pop(i))
+        return order
 
     def covers(self, phrase: str) -> bool:
         return phrase in self._map or phrase in self._map.values()
-
-    def any_order(self) -> bool:
-        """Whether the entries are taken in any order, as when no entry
-        replaces a default and no multi-word surface holds a one-word one:
-        then no phrase has two ways to rewrite, and fewer entries rewrite
-        less, so every subset is taken."""
-        return (not self._user.keys() & PLURAL_DEFAULTS.keys() and not any(
-            w in self._word for s in self._whole for w in s.split()))
 
     def canon(self, phrase: str) -> str:
         """The normal form of a canonical phrase: its own entry's, else
@@ -263,7 +277,9 @@ def _reaches(mapping: dict[str, str], phrase: str, target: str) -> bool:
 
 
 EMPTY_LEXICON = Lexicon()
-DEFAULT_LEXICON = Lexicon(PLURAL_DEFAULTS)
+DEFAULT_LEXICON = functools.reduce(lambda lex, entry: lex.add(*entry),
+                                   PLURAL_DEFAULTS.items(), EMPTY_LEXICON)
+DEFAULT_LEXICON._user = {}  # the defaults are not saved
 
 def _check_term(term: str, slot: str) -> str:
     if not term:

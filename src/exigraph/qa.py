@@ -24,8 +24,8 @@ is what lets set-level evidence answer questions about broader sets.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
-import copy
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -101,22 +101,22 @@ class Session:
 
         A lexicon entry is refused when :meth:`~exigraph.lang.Lexicon.add`
         refuses it (some phrase would rewrite forever, to two normal forms
-        or to too many words), or when it would change how a stored
-        statement reads back, or refuse it: a saved file lists the lexicon
-        first.
+        or to too many words), or when a stored statement would read back
+        as another one, or be refused: a saved file lists the lexicon
+        first.  Each stored line is parsed once, under the new lexicon,
+        and compared with the statement it was rendered from; under the
+        current lexicon it reads as that statement, since every stored
+        term is a normal form.
         """
         ast = lang.parse_statement(line, self.lexicon)
         if isinstance(ast, lang.LexiconStmt):
-            # a saved file lists the lexicon first: no stored line may change
-            trial = copy.deepcopy(self.lexicon)
             try:
-                trial.add(ast.surface, ast.canonical)
+                trial = self.lexicon.add(ast.surface, ast.canonical)
             except ValueError as exc:
                 raise lang.ParseError(str(exc)) from exc
-            for line in _stored_lines(self):
+            for line, statement in _stored_lines(self):
                 with contextlib.suppress(lang.ParseError):  # or refuses it
-                    if lang.parse_statement(line, trial) \
-                            == lang.parse_statement(line, self.lexicon):
+                    if lang.parse_statement(line, trial) == statement:
                         continue
                 raise lang.ParseError(f"lexicon entry would change {line!r}")
             self.lexicon = trial
@@ -424,8 +424,9 @@ class LoadError(Exception):
         super().__init__(f"{path}:{line_no}: {cause}")
 
 
-def _stored_lines(session: Session) -> list[str]:
-    """Everything a saved file holds after the lexicon, as lines.
+def _stored_lines(session: Session) -> list[tuple[str, lang.StatementAst]]:
+    """Everything a saved file holds after the lexicon, as (line,
+    statement) pairs: each line is the statement rendered.
 
     Order is deterministic: rules alphabetical, triggers in the order they
     were declared, then memberships, categorical propositions and SPO
@@ -434,10 +435,10 @@ def _stored_lines(session: Session) -> list[str]:
     after a load.
     """
     kb, label = session.kb, session.kb.label
-    lines = [lang.render(rule)
+    lines = [(lang.render(rule), rule)
              for rule in sorted(session.rules, key=lambda r: (r.premise_verb,
                                                               r.conclusion_verb))]
-    lines += [lang.render(trig) for trig in session.triggers]
+    lines += [(lang.render(trig), trig) for trig in session.triggers]
     # each entity's rows come unsorted, so each group is sorted once
     own = [kb.rows(entity) for entity in kb.entities()]
     groups = [
@@ -449,40 +450,21 @@ def _stored_lines(session: Session) -> list[str]:
             label(e.from_), e.name, label(e.to))),
     ]
     for rows, statement in groups:
-        lines += sorted(lang.render(statement(item)) for item in rows
-                        if item.provenance.kind is Kind.ASSERTED
-                        and item.value is TRUE)
-    return lines
-
-
-def _lexicon_lines(lexicon: lang.Lexicon) -> list[str]:
-    """The lexicon's entries as lines that :func:`load_kb` adds back one at
-    a time: each is the first entry left, in label order, that a fresh
-    session's lexicon holding the lines before it takes.  An entry may
-    need one later in label order: ``man = men`` reads as a cycle until
-    ``men = mortal`` replaces the default ``men = man``.  A lexicon that
-    takes its entries in any order is written in label order unchecked."""
-    trial, left, lines = lang.Lexicon.with_defaults(), lexicon.entries(), []
-    if lexicon.any_order():
-        return [lang.render(lang.LexiconStmt(*entry)) for entry in left]
-    while left:
-        for i, entry in enumerate(left):
-            try:
-                trial.add(*entry)
-                break
-            except ValueError:
-                continue
-        else:
-            i = 0  # none is taken: keep label order, which will not load
-        lines.append(lang.render(lang.LexiconStmt(*left.pop(i))))
+        stored = (statement(item) for item in rows
+                  if item.provenance.kind is Kind.ASSERTED
+                  and item.value is TRUE)
+        lines += sorted(((lang.render(ast), ast) for ast in stored),
+                        key=lambda pair: pair[0])
     return lines
 
 
 def save_kb(session: Session, path: str) -> int:
-    """Write :func:`_lexicon_lines`, then :func:`_stored_lines`, to a temp
-    file beside ``path`` and rename it over ``path``: a failed save leaves
-    the old file."""
-    lines = _lexicon_lines(session.lexicon) + _stored_lines(session)
+    """Write the lexicon's :meth:`~exigraph.lang.Lexicon.entries`, then
+    :func:`_stored_lines`, to a temp file beside ``path`` and rename it
+    over ``path``: a failed save leaves the old file."""
+    lines = [lang.render(lang.LexiconStmt(*entry))
+             for entry in session.lexicon.entries()]
+    lines += [line for line, _ in _stored_lines(session)]
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -500,9 +482,12 @@ def load_kb(path: str) -> Session:
     comment is applied to a fresh session as :meth:`Session.assert_line`
     applies a typed line, so a file is refused where the REPL would refuse
     the line; no trigger fires.  Atomic (a bad line leaves nothing
-    loaded); the error names the first bad line."""
+    loaded); the error names the first bad line.  A leading UTF-8
+    byte-order mark is dropped."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        # dropped before decoding, so a bad byte's offset counts lines in
+        # ``data``; "utf-8-sig" would give it an offset that skips the mark
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         raw = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import time
 import tracemalloc
@@ -17,7 +16,7 @@ from oracles import TooManyPhrases, oracle_lexicon
 def lexicon(entries: dict[str, str]) -> Lexicon:
     lex = Lexicon()
     for surface, canonical in entries.items():
-        lex.add(surface, canonical)
+        lex = lex.add(surface, canonical)
     return lex
 
 
@@ -342,11 +341,11 @@ def test_lexicon_canon_is_idempotent():
 def test_lexicon_rejects_cycles():
     lex = lexicon({"a": "b"})
     with pytest.raises(ValueError):
-        lex.add("b", "a")
+        lex = lex.add("b", "a")
     with pytest.raises(ValueError):
-        lex.add("c", "c")
+        lex = lex.add("c", "c")
     with pytest.raises(ValueError):  # expands into itself
-        lex.add("bob", "big bob")
+        lex = lex.add("bob", "big bob")
     assert lex.canon("bob") == "bob"
     assert lex.entries() == [("a", "b")]
 
@@ -361,7 +360,7 @@ def test_canon_idempotent_after_any_accepted_entries(entries, phrase):
     lex = Lexicon.with_defaults()
     for surface, canonical in entries:
         try:
-            lex.add(surface, canonical)
+            lex = lex.add(surface, canonical)
         except ValueError:
             pass
     for text in (phrase, *(p for entry in entries for p in entry)):
@@ -372,9 +371,9 @@ def test_canon_idempotent_after_any_accepted_entries(entries, phrase):
 def test_canon_answers_anew_after_an_entry_rewrites_the_phrase():
     lex = Lexicon.with_defaults()
     assert lex.canon("young men") == "young man"
-    lex.add("young man", "youth")
+    lex = lex.add("young man", "youth")
     assert lex.canon("young men") == "youth"
-    lex.add("youth", "child")
+    lex = lex.add("youth", "child")
     assert lex.canon("young men") == "child"
 
 
@@ -386,20 +385,33 @@ def test_refused_entry_leaves_every_answer_as_it_was():
     for surface, canonical in [("b", "a"), ("e", "x c"), ("d", "d"),
                                ("a", "x a")]:
         with pytest.raises(ValueError):
-            lex.add(surface, canonical)
+            lex = lex.add(surface, canonical)
         assert [lex.canon(p) for p in phrases] == before
     assert lex.entries() == [("a", "b"), ("c", "d e")]
 
 
-def test_entry_on_a_deep_copy_leaves_the_original_unchanged():
+def test_an_entry_gives_a_new_lexicon_and_leaves_its_receiver_unchanged():
+    for shared in (lang.EMPTY_LEXICON, lang.DEFAULT_LEXICON):
+        trial = shared.add("plato", "socrates")
+        assert trial.canon("plato") == "socrates"
+        assert shared.canon("plato") == "plato"
+        assert shared.entries() == []
+    assert parse_statement("Plato is a man.") == MembershipStmt("plato", "man")
+    assert Lexicon.with_defaults().canon("men") == "man"
+    assert lang.EMPTY_LEXICON.canon("men") == "men"
+
+
+def test_entries_come_in_an_order_a_default_lexicon_takes():
+    lex = lexicon({"b": "a", "a c": "d"})  # no phrase rewrites two ways
+    assert lex.entries() == [("a c", "d"), ("b", "a")]
     lex = Lexicon.with_defaults()
-    assert lex.canon("plato") == "plato"
-    trial = copy.deepcopy(lex)
-    # the copy shares the original's tables until an entry replaces them
-    trial.add("plato", "socrates")
-    assert trial.canon("plato") == "socrates"
-    assert lex.canon("plato") == "plato"
-    assert lex.entries() == []
+    lex = lex.add("men", "mortal")
+    lex = lex.add("man", "men")  # a cycle until "men = mortal" is taken
+    assert lex.entries() == [("men", "mortal"), ("man", "men")]
+    loaded = Lexicon.with_defaults()
+    for entry in lex.entries():
+        loaded = loaded.add(*entry)
+    assert loaded.canon("man") == "mortal"
 
 
 def test_lexicon_applies_word_wise_inside_phrases():
@@ -410,7 +422,7 @@ def test_lexicon_applies_word_wise_inside_phrases():
 def test_a_long_chain_keeps_its_meaning():
     lex = Lexicon.with_defaults()
     for i in range(1, 41):
-        lex.add(f"a{i}", f"a{i + 1}")
+        lex = lex.add(f"a{i}", f"a{i + 1}")
     assert {lex.canon(f"a{i}") for i in range(1, 42)} == {"a41"}
     assert lex.canon("big a1") == "big a41"
 
@@ -428,18 +440,18 @@ def test_entry_refused_unless_each_phrase_keeps_one_normal_form(
         entries, refused, message):
     lex = Lexicon.with_defaults()
     for entry in entries:
-        lex.add(*entry)
+        lex = lex.add(*entry)
     before = lex.entries()
     with pytest.raises(ValueError) as err:
-        lex.add(*refused)
+        lex = lex.add(*refused)
     assert str(err.value) == message
     assert lex.entries() == before
 
 
 def test_an_expansion_that_holds_its_surface_in_a_longer_phrase_is_kept():
     lex = Lexicon.with_defaults()
-    lex.add("man", "c e d")
-    lex.add("e c", "e men")  # "e c e d" holds "e c", but never rewrites
+    lex = lex.add("man", "c e d")
+    lex = lex.add("e c", "e men")  # "e c e d" holds "e c", but never rewrites
     assert lex.canon("e c") == "e c e d"
 
 
@@ -455,7 +467,7 @@ def test_a_doubling_chain_is_refused_past_the_word_limit(links, refused):
     try:
         with pytest.raises(ValueError) as err:
             for i in links:
-                lex.add(f"a{i}", f"a{i + 1} a{i + 1}")
+                lex = lex.add(f"a{i}", f"a{i + 1} a{i + 1}")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -468,15 +480,15 @@ def test_a_doubling_chain_is_refused_past_the_word_limit(links, refused):
 def test_replacing_a_link_rereads_the_chain_through_it():
     lex = Lexicon.with_defaults()
     for i in range(1, 6):
-        lex.add(f"a{i}", f"a{i + 1}")
-    lex.add("a3", "b men")
+        lex = lex.add(f"a{i}", f"a{i + 1}")
+    lex = lex.add("a3", "b men")
     assert [lex.canon(f"a{i}") for i in range(1, 7)] \
         == ["b man"] * 3 + ["a6"] * 3
-    lex.add("a3", "a5")
-    lex.add("b", "a1")
+    lex = lex.add("a3", "a5")
+    lex = lex.add("b", "a1")
     assert {lex.canon(w) for w in ("a1", "a3", "b")} == {"a6"}
     with pytest.raises(ValueError, match="lexicon cycle through 'a3'"):
-        lex.add("a3", "b")
+        lex = lex.add("a3", "b")
 
 
 _POOL = ["a", "b", "c", "d", "e", "men", "man"]
@@ -497,7 +509,7 @@ def test_lexicon_matches_a_rewriting_oracle(entries, probes):
             continue
         trial = {**mapping, surface: canonical}
         try:
-            lex.add(surface, canonical)
+            lex = lex.add(surface, canonical)
         except ValueError:
             results = [_explore(trial, p) for p in trial]
             assert any(loops or len(forms) > 1 for forms, loops in results)

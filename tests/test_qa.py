@@ -646,6 +646,41 @@ def test_save_load_save_byte_identical_after_any_kb_file(lines):
             assert a.read() == b.read()
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_statement_line(), max_size=12))
+@example(["lexicon: men = mortal.", "lexicon: man = men.",
+          "Socrates is a man."])
+def test_every_stored_line_reads_back_as_its_statement(lines):
+    """What a lexicon entry's one parse per stored line rests on: under the
+    session's lexicon each saved line parses to the statement it was
+    rendered from."""
+    session = Session()
+    for line in lines:
+        try:
+            session.assert_line(line)
+        except (lang.ParseError, KbError):
+            pass
+    for surface, canonical in session.lexicon.entries():
+        entry = lang.LexiconStmt(surface, canonical)
+        assert lang.parse_statement(lang.render(entry)) == entry
+    for line, statement in qa._stored_lines(session):
+        assert lang.parse_statement(line, session.lexicon) == statement
+
+
+@pytest.mark.parametrize("stored", [0, 1, 7])
+def test_a_lexicon_entry_parses_each_stored_line_once(stored, monkeypatch):
+    session = Session()
+    for i in range(stored):
+        session.assert_line(f"Bob{i} is a man.")
+    calls = []
+    parse = lang.parse_statement
+    monkeypatch.setattr(lang, "parse_statement",
+                        lambda *args: calls.append(args) or parse(*args))
+    session.assert_line("lexicon: plato = socrates.")
+    assert len(calls) == stored + 1
+    assert session.lexicon.canon("plato") == "socrates"
+
+
 def test_blank_and_comment_lines_of_a_kb_file_are_skipped(tmp_path):
     statements = ["Socrates is a man.", 'All men are mortal.  # see "#2"']
     path = tmp_path / "commented.kb"
@@ -784,6 +819,20 @@ def test_non_utf8_kb_is_an_error_not_a_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
     _, out = run_repl(f":load {path}\n")
     assert out.startswith(f"error: {path}:2: ")
+
+
+def test_a_byte_order_mark_opens_a_kb_file_and_counts_no_line(tmp_path,
+                                                              capsys):
+    bom = b"\xef\xbb\xbf"
+    path = tmp_path / "bom.kb"
+    path.write_bytes(bom + b"Socrates is a man.\nAll men are mortal.\n")
+    assert cli.main(["ask", "Is Socrates a mortal?", "--kb", str(path)]) == 0
+    assert capsys.readouterr().out == "yes (proven)\n"
+    assert load_kb(str(path)).kb.entity("socrates") is not None
+    path.write_bytes(bom + b"Socrates is a man.\nAll men are \xff.\n")
+    with pytest.raises(LoadError) as err:
+        load_kb(str(path))
+    assert str(err.value).startswith(f"{path}:2: ")
 
 
 def test_check_clean_kb(moon_path, capsys):

@@ -13,6 +13,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = {
     "ask_scaling.py": ["--individuals", "20", "--questions", "10"],
     "closure_scaling.py": ["--links", "3", "7"],
+    "code_lines.py": [],
     "existence_survey.py": ["--trials", "5"],
     "load_scaling.py": ["--individuals", "20", "--repeats", "2"],
     "load_scaling.py --mode chain": ["--links", "3", "40", "--repeats", "1"],
