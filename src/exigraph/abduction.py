@@ -65,12 +65,12 @@ def candidate(elements: Iterable[Entity], set_: Entity, kb: KnowledgeBase
 
     The members of ``set_`` are read once, in any order, however many
     elements are tried, and only until they share nothing; they are put in
-    label order, and item ids fetched for the properties that make the
-    hypothesis, only for the hypothesis returned.  ``elements`` may come
-    in any order: they are read up to the first that could be tried, and
-    put in label order only once the members share something.  So asking
-    about one set costs the same whatever else the KB holds, and a set
-    whose members share nothing costs a few of them.
+    label order only for the hypothesis returned, which cites the items
+    that read gave them.  ``elements`` may come in any order: they are
+    read up to the first that could be tried, and put in label order only
+    once the members share something.  So asking about one set costs the
+    same whatever else the KB holds, and a set whose members share nothing
+    costs a few of them.
     """
     def open_(x: Entity) -> bool:
         return x.id != set_.id and kb.exists(x, set_) is not TRUE
@@ -79,8 +79,8 @@ def candidate(elements: Iterable[Entity], set_: Entity, kb: KnowledgeBase
     first = next(filter(open_, elements), None)
     if first is None:
         return None
-    common = _shared(kb, (kb.by_id(m.element) for m in kb.members(set_)
-                          if m.value is TRUE), but=[("mem", set_.id)])
+    common, held = _shared(kb, (kb.by_id(m.element) for m in kb.members(set_)
+                                if m.value is TRUE), but=[("mem", set_.id)])
     if not common:
         return None
     for x in sorted([first, *filter(open_, elements)], key=lambda e: e.label):
@@ -89,36 +89,31 @@ def candidate(elements: Iterable[Entity], set_: Entity, kb: KnowledgeBase
                         key=lambda t: _prop_sort_key(kb, t))
         if not shared:
             continue
-        members = kb.members_true(set_)
+        members = [held[label] for label in sorted(held)]
         evidence = []
         for tag in shared:
             evidence.append(x_props[tag])
-            evidence.extend(_holder(kb, m, tag) for m in members)
+            evidence.extend(props[tag] for props in members)
         return Hypothesis(x, set_, tuple(dict.fromkeys(evidence)),
                           (len(shared), len(members)))
     return None
 
 
-def _shared(kb: KnowledgeBase, entities: Iterable[Entity],
-            but: Iterable[tuple]) -> set[tuple]:
+def _shared(kb: KnowledgeBase, entities: Iterable[Entity], but: Iterable[tuple]
+            ) -> tuple[set[tuple], dict[str, dict[tuple, str]]]:
     """The tags all of ``entities`` hold, less those in ``but`` (none when
-    there are no entities): intersected one entity at a time, until none
-    is left."""
+    there are no entities), and the :func:`_properties` of each entity
+    read, by label: intersected one entity at a time, until none is
+    left."""
     common: Optional[set[tuple]] = None
+    held = {}
     for ent in entities:
-        props = _properties(kb, ent).keys()
+        props = held[ent.label] = _properties(kb, ent)
         common = set(props).difference(but) if common is None \
-            else common & props
+            else common & props.keys()
         if not common:
             break
-    return common or set()
-
-
-def _holder(kb: KnowledgeBase, ent: Entity, tag: tuple) -> str:
-    """The id of the item that gives ``ent`` the property ``tag``."""
-    if tag[0] == "rel":
-        return kb.edge(tag[1], ent, kb.by_id(tag[2])).id
-    return kb.membership(ent, kb.by_id(tag[1])).id
+    return common or set(), held
 
 
 def rule_edges(rules: list[RuleStmt], edges: list[Edge]) -> list[Edge]:

@@ -6,7 +6,9 @@ categorical forms, subject-verb-object relations, defeasible rules,
 lexicon entries and trigger declarations.  A :class:`Question` asks
 whether a statement holds: is-a a membership, are-all and are-any an A
 or I categorical, did/have an SPO relation.  Each construct has one
-record, which the parser builds and a session keeps as parsed.
+record, which the parser builds and a session keeps as parsed; a
+question's line is read, and the statement it asks built, as a
+statement's is, and :data:`READS` says how each categorical form reads.
 
 Verb-phrase boundaries in SPO constructs are resolved positionally: the
 verb is the token immediately before the first preposition (from the fixed
@@ -55,6 +57,10 @@ WILDCARD = "*"  # a trigger slot that matches any label
 PREPOSITIONS = ("to", "at", "in", "on", "with")
 KEYWORDS = {"is", "are", "all", "no", "some", "not", "did", "have",
             "rule:", "lexicon:", "trigger:", "=>", "=", "when", "then"}
+
+# how each categorical form reads, subject then predicate
+READS = {"A": "all {} are {}", "E": "no {} are {}", "I": "some {} are {}",
+         "O": "some {} are not {}"}
 
 QUESTION_SHAPES = ('Is <Proper> a <Noun>?', 'Are all <Noun> <Noun>?',
                    'Are any <Noun> <Noun>?',
@@ -112,10 +118,6 @@ class Lexicon:
         # a lexicon is built, so lexicons share them
         self._map, self._user, self._word, self._readers, self._whole = (
             {}, {}, {}, {}, {})
-
-    @classmethod
-    def with_defaults(cls) -> "Lexicon":
-        return DEFAULT_LEXICON
 
     def add(self, surface: str, canonical: str) -> "Lexicon":
         """This lexicon with an entry added or replaced; the receiver is
@@ -281,11 +283,14 @@ DEFAULT_LEXICON = functools.reduce(lambda lex, entry: lex.add(*entry),
                                    PLURAL_DEFAULTS.items(), EMPTY_LEXICON)
 DEFAULT_LEXICON._user = {}  # the defaults are not saved
 
-def _check_term(term: str, slot: str) -> str:
+def _check_term(term: str, slot: str,
+                reserved: set[str] = KEYWORDS | ARTICLES | set(PREPOSITIONS)
+                ) -> str:
+    """``term``, refused when empty or holding a word of ``reserved``."""
     if not term:
         raise ValueError(f"empty {slot}")
     for w in term.split():
-        if w in KEYWORDS or w in PREPOSITIONS or w in ARTICLES:
+        if w in reserved:
             raise ValueError(f"{slot} may not contain the keyword {w!r}")
     return term
 
@@ -366,10 +371,8 @@ class LexiconStmt:
         # articles are dropped and keywords never reach a term, so no
         # statement could use a form that holds one of these
         for side in ("surface", "canonical"):
-            for w in getattr(self, side).split():
-                if w in KEYWORDS or w in ARTICLES:
-                    raise ValueError(f"lexicon {side} form may not contain "
-                                     f"the keyword {w!r}")
+            _check_term(getattr(self, side), f"lexicon {side} form",
+                        KEYWORDS | ARTICLES)
 
 
 @dataclass(frozen=True)
@@ -473,10 +476,19 @@ def _split_spo(words: list[str], text: str,
     return " ".join(subject), " ".join(verb), " ".join(obj)
 
 
-def _require_end(line: str, mark: str, kind: str) -> str:
-    if not line.endswith(mark):
-        raise ParseError(f"{kind} must end with {mark!r}", len(line), (mark,))
-    return line[:-len(mark)].rstrip()
+def _read(line: str, mark: str, kind: str) -> tuple[str, list[str]]:
+    """A statement (``mark`` ".") or question ("?") line as typed, without
+    its comment and end mark, and its words; refused when it is empty or
+    does not end with ``mark``."""
+    text = _strip_comment(line)
+    ended = text.endswith(mark)
+    body = text[:-1].rstrip() if ended else text
+    words = _tokens(body)
+    if not words:
+        raise ParseError(f"empty {kind}", 0, (f"<{kind}>",))
+    if not ended:
+        raise ParseError(f"{kind} must end with {mark!r}", len(text), (mark,))
+    return body, words
 
 
 _RULE_RE = re.compile(
@@ -510,13 +522,7 @@ def _wrap(build, text: str = ""):
 def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst:
     """Parse one statement line into an AST, canonicalizing terms through
     the lexicon.  Raises ParseError on malformed input; pure."""
-    text = _strip_comment(line)
-    if not text.strip():
-        raise ParseError("empty statement", 0, ("<statement>",))
-    body = _require_end(text, ".", "statement")
-    words = _tokens(body)
-    if not words:
-        raise ParseError("empty statement", 0, ("<statement>",))
+    body, words = _read(line, ".", "statement")
     head = words[0]
 
     if head.startswith("lexicon:"):
@@ -561,8 +567,7 @@ def parse_statement(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> StatementAst
         if not proper or not set_:
             raise ParseError("membership needs a proper noun and a set noun",
                              _start(body, is_idx), ("<Proper> is a <Noun>.",))
-        return _wrap(lambda: MembershipStmt(lexicon.canon(proper),
-                                            lexicon.canon(set_)), body)
+        return _membership(proper, set_, lexicon, body)
 
     s, v, o = map(lexicon.canon, _split_spo(_drop_articles(words), body))
     return _wrap(lambda: SpoStmt(s, v, _object(v, o)), body)
@@ -584,8 +589,24 @@ def _parse_categorical(words: list[str], body: str,
         form, rest = "O", rest[1:]
         if not rest:
             raise ParseError("missing predicate", _start(body, -1), ("<Noun>",))
-    subject = " ".join(_drop_articles(words[1:are]))
-    predicate = " ".join(_drop_articles(rest))
+    return _categorical(form, " ".join(_drop_articles(words[1:are])),
+                        " ".join(_drop_articles(rest)), lexicon, body)
+
+
+def _membership(proper: str, set_: str, lexicon: Lexicon,
+                body: str) -> MembershipStmt:
+    """The membership of two phrases read through the lexicon; an empty
+    phrase, or one holding a keyword or an article, is refused at the
+    first word of ``body``."""
+    return _wrap(lambda: MembershipStmt(lexicon.canon(proper),
+                                        lexicon.canon(set_)), body)
+
+
+def _categorical(form: str, subject: str, predicate: str, lexicon: Lexicon,
+                 body: str) -> CategoricalStmt:
+    """The categorical of two phrases read through the lexicon; an empty
+    phrase, or one holding a keyword or an article, is refused at the
+    first word of ``body``."""
     return _wrap(lambda: CategoricalStmt(form, lexicon.canon(subject),
                                          lexicon.canon(predicate)), body)
 
@@ -594,13 +615,7 @@ def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> Question:
     """Parse one question line into the :class:`Question` that asks its
     statement; unsupported shapes raise :class:`UnsupportedFormError`
     rather than being guessed at."""
-    text = _strip_comment(line)
-    if not text.strip():
-        raise ParseError("empty question", 0, ("<question>",))
-    body = _require_end(text, "?", "question")
-    words = _tokens(body)
-    if not words:
-        raise ParseError("empty question", 0, ("<question>",))
+    body, words = _read(line, "?", "question")
     head = words[0]
 
     if head == "is":
@@ -611,18 +626,15 @@ def parse_question(line: str, lexicon: Lexicon = EMPTY_LEXICON) -> Question:
         set_ = " ".join(_drop_articles(words[art + 1:]))
         if not proper or not set_:
             raise UnsupportedFormError("malformed is-a question", _start(body, 0))
-        return _wrap(lambda: Question(MembershipStmt(lexicon.canon(proper),
-                                                     lexicon.canon(set_))),
-                     body)
+        return Question(_membership(proper, set_, lexicon, body))
 
     if head == "are" and len(words) >= 4 and words[1] in ("all", "any"):
         subject = " ".join(_drop_articles(words[2:-1]))
-        predicate = words[-1]
         if not subject:
             raise UnsupportedFormError("missing subject", _start(body, 1))
-        asks = _wrap(lambda: CategoricalStmt(
-            "A" if words[1] == "all" else "I", lexicon.canon(subject),
-            lexicon.canon(predicate)), body)
+        # the predicate is the last word as typed, so an article is refused
+        asks = _categorical("A" if words[1] == "all" else "I", subject,
+                            words[-1], lexicon, body)
         # a lexicon entry may map the one-word predicate to a phrase
         if " " in asks.predicate:
             raise ParseError(f"are-{words[1]} predicate is a single word",
@@ -661,9 +673,7 @@ def render(ast: StatementAst | Question) -> str:
     if isinstance(ast, MembershipStmt):
         return f"{_cap(ast.proper)} is {_article(ast.set_)} {ast.set_}."
     if isinstance(ast, CategoricalStmt):
-        tmpl = {"A": "All {s} are {p}.", "E": "No {s} are {p}.",
-                "I": "Some {s} are {p}.", "O": "Some {s} are not {p}."}
-        return tmpl[ast.form].format(s=ast.subject, p=ast.predicate)
+        return _cap(READS[ast.form].format(ast.subject, ast.predicate)) + "."
     if isinstance(ast, SpoStmt):
         return f"{_cap(ast.subject)} {ast.verb} {ast.obj}."
     if isinstance(ast, RuleStmt):

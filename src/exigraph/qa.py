@@ -73,7 +73,7 @@ class Session:
     """
 
     kb: KnowledgeBase = field(default_factory=KnowledgeBase)
-    lexicon: lang.Lexicon = field(default_factory=lang.Lexicon.with_defaults)
+    lexicon: lang.Lexicon = lang.DEFAULT_LEXICON
     rules: list[lang.RuleStmt] = field(default_factory=list)
     triggers: list[lang.TriggerStmt] = field(default_factory=list)
     existential_import: bool = False
@@ -264,14 +264,12 @@ def _membership_entailment(session: Session, q: lang.MembershipStmt,
         else:
             continue
         if entails(kb, form, subject, predicate):
-            word = "all" if form == "A" else "no"
+            reads = lang.READS[form].format(subject.label, predicate.label)
             return _proven(verdict, [
                 TraceStep("membership", f"{x.label} in {t.label} = {mem.value}",
                           mem.provenance.kind.value),
-                TraceStep("proposition",
-                          f"{word} {subject.label} are {predicate.label}",
-                          _proposition_kind(kb, form, subject,
-                                            predicate).value),
+                TraceStep("proposition", reads, _proposition_kind(
+                    kb, form, subject, predicate).value),
             ])
     # x has no membership to cite: s itself can have no members
     return _proven(verdict, [TraceStep("witness", no, Kind.DEDUCED.value)])
@@ -311,9 +309,9 @@ def _categorical_entailment(session: Session, q: lang.CategoricalStmt,
     if not (yes or no):
         return None
     verdict = TRUE if yes else FALSE
-    word = "all" if form == "A" else "some"
     return _proven(verdict, [TraceStep(
-        "proposition", f"{word} {s.label} are {p.label} = {verdict}",
+        "proposition", f"{lang.READS[form].format(s.label, p.label)} "
+                       f"= {verdict}",
         _proposition_kind(kb, form, s, p).value)])
 
 
@@ -411,7 +409,8 @@ def _subject_link(kb: KnowledgeBase, actor: Entity, s: Entity,
         return TraceStep("membership", f"{actor.label} in {s.label}",
                          mem.provenance.kind.value)
     if within(actor):
-        return TraceStep("proposition", f"all {actor.label} are {s.label}",
+        return TraceStep("proposition",
+                         lang.READS["A"].format(actor.label, s.label),
                          _proposition_kind(kb, "A", actor, s).value)
     return None
 

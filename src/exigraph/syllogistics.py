@@ -29,6 +29,7 @@ from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .kb import (Entity, Kind, KnowledgeBase, Literal, Proposition,
                  Provenance, clauses)
+from .lang import READS
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3
 
 FORMS = ("A", "E", "I", "O")
@@ -308,21 +309,21 @@ def subset_of(kb: KnowledgeBase, s: Entity) -> Callable[[Entity], bool]:
     units reaches the union of their two reaches.  Every clause is filed
     with its contrapositive, so t's reach holds a literal whose complement
     the reach of (s, out) holds exactly when the latter reaches (t, out).
-    So A(t, s) is entailed iff (s, out) reaches (t, out), or (s, out)
-    clashes alone, or (t, in) clashes alone; a literal with no
-    implications cannot clash.
+    So A(t, s) is entailed iff (s, out) reaches (t, out), or (t, in)
+    clashes alone; a literal with no implications cannot clash.  (s, out)
+    never clashes alone: A and E give only not p -> not s and positive ->
+    negative implications, so a walk from a negative literal reaches only
+    negative ones.
     """
     graph = kb.implications()
-    reached, clash = _reach(graph, [(s.id, False)])
-    if clash is not None:
-        return lambda t: True
+    reached = _reach(graph, [(s.id, False)])[0]
     return lambda t: (t.id, False) in reached or (
         (t.id, True) in graph and _clash(graph, [(t.id, True)]) is not None)
 
 
 def _some(s: Entity, p: Entity, inside: bool) -> tuple[str, list[Literal]]:
     """The witness of "some s are p" (or "are not p"), with its label."""
-    return (f"some {s.label} are {'' if inside else 'not '}{p.label}",
+    return (READS["I" if inside else "O"].format(s.label, p.label),
             [(s.id, True), (p.id, inside)])
 
 

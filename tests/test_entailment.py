@@ -18,8 +18,8 @@ from exigraph import cli
 from exigraph.kb import Kind, KnowledgeBase, Provenance
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 from exigraph.qa import PROVEN, Session
-from exigraph.syllogistics import (closure, contradictions, entails,
-                                   inconsistency, subset_of)
+from exigraph.syllogistics import (_reach, closure, contradictions,
+                                   entails, inconsistency, subset_of)
 
 from oracles import oracle_entailment
 
@@ -215,6 +215,8 @@ def test_one_walk_answers_each_all_question_as_entails_does():
         kb, _ = _kb(*statements)
         no_model += inconsistency(kb) is not None
         for s in kb.entities():
+            # no clause leads from "not s" to a positive literal
+            assert _reach(kb.implications(), [(s.id, False)])[1] is None
             within = subset_of(kb, s)
             for t in kb.entities():
                 assert within(t) == (entails(kb, "A", t, s) is not None), \

@@ -184,6 +184,14 @@ BAD_STATEMENTS = [
     ("Bob is a is.", 0, "set noun may not contain the keyword 'is' at offset 0"),
     ("Bob flew to the is.", 0,
      "object may not contain the keyword 'is' at offset 0"),
+    ("Bob not moon.", 0,
+     "verb phrase may not start with keyword 'not' at offset 0"),
+    ("rule: X the Y => X sees Y.", 0,
+     "verb phrase may not start with keyword 'the' at offset 0"),
+    ("rule: X sees big Y => X sees Y.", 0, "verb phrase is one word plus "
+     "trailing prepositions; got 'sees big' at offset 0"),
+    ("lexicon: x.", 0, "malformed lexicon entry at offset 0 "
+     "(expected lexicon: <surface> = <canonical>.)"),
     ("rule: X causes => X makes Y.", 0, "malformed rule at offset 0 (expected "
      "rule: X <verb phrase> Y => X <verb phrase> Y.)"),
     ("trigger: when * sees * then aim.", 0, "malformed trigger at offset 0 "
@@ -199,6 +207,7 @@ BAD_STATEMENTS = [
     ("lexicon: the dog = hound.", 0, _LEXICON.format("surface", "the")),
     ("lexicon: is = be.", 0, _LEXICON.format("surface", "is")),
     ("lexicon: all = every.", 0, _LEXICON.format("surface", "all")),
+    ("lexicon:  = y.", 0, "empty lexicon surface form at offset 0"),
 ]
 
 BAD_QUESTIONS = [
@@ -210,12 +219,19 @@ BAD_QUESTIONS = [
      f"malformed is-a question{_FORMS} at offset 3"),
     ("Is a man?", UnsupportedFormError, 0,
      f"malformed is-a question{_FORMS} at offset 0"),
+    ("Is the a man?", UnsupportedFormError, 0,
+     f"malformed is-a question{_FORMS} at offset 0"),
     ("Are all men?", UnsupportedFormError, 0,
      f"unsupported question form{_FORMS} at offset 0"),
     ("Are all the mortal?", UnsupportedFormError, 4,
      f"missing subject{_FORMS} at offset 4"),
     ("Are any men all?", ParseError, 0,
      "predicate may not contain the keyword 'all' at offset 0"),
+    # the predicate is the last word as typed, article or not
+    ("Are all men the?", ParseError, 0,
+     "predicate may not contain the keyword 'the' at offset 0"),
+    ("Are any men a?", ParseError, 0,
+     "predicate may not contain the keyword 'a' at offset 0"),
     ("Did Bob?", UnsupportedFormError, 0,
      f"statement too short for subject-verb-object at offset 0 {_SPO}"
      f"{_FORMS} at offset 0"),
@@ -357,7 +373,7 @@ _lex_phrase = st.lists(st.sampled_from("abcd"), min_size=1,
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(_lex_phrase, _lex_phrase), max_size=8), _lex_phrase)
 def test_canon_idempotent_after_any_accepted_entries(entries, phrase):
-    lex = Lexicon.with_defaults()
+    lex = lang.DEFAULT_LEXICON
     for surface, canonical in entries:
         try:
             lex = lex.add(surface, canonical)
@@ -369,7 +385,7 @@ def test_canon_idempotent_after_any_accepted_entries(entries, phrase):
 
 
 def test_canon_answers_anew_after_an_entry_rewrites_the_phrase():
-    lex = Lexicon.with_defaults()
+    lex = lang.DEFAULT_LEXICON
     assert lex.canon("young men") == "young man"
     lex = lex.add("young man", "youth")
     assert lex.canon("young men") == "youth"
@@ -397,18 +413,18 @@ def test_an_entry_gives_a_new_lexicon_and_leaves_its_receiver_unchanged():
         assert shared.canon("plato") == "plato"
         assert shared.entries() == []
     assert parse_statement("Plato is a man.") == MembershipStmt("plato", "man")
-    assert Lexicon.with_defaults().canon("men") == "man"
+    assert lang.DEFAULT_LEXICON.canon("men") == "man"
     assert lang.EMPTY_LEXICON.canon("men") == "men"
 
 
 def test_entries_come_in_an_order_a_default_lexicon_takes():
     lex = lexicon({"b": "a", "a c": "d"})  # no phrase rewrites two ways
     assert lex.entries() == [("a c", "d"), ("b", "a")]
-    lex = Lexicon.with_defaults()
+    lex = lang.DEFAULT_LEXICON
     lex = lex.add("men", "mortal")
     lex = lex.add("man", "men")  # a cycle until "men = mortal" is taken
     assert lex.entries() == [("men", "mortal"), ("man", "men")]
-    loaded = Lexicon.with_defaults()
+    loaded = lang.DEFAULT_LEXICON
     for entry in lex.entries():
         loaded = loaded.add(*entry)
     assert loaded.canon("man") == "mortal"
@@ -420,7 +436,7 @@ def test_lexicon_applies_word_wise_inside_phrases():
 
 
 def test_a_long_chain_keeps_its_meaning():
-    lex = Lexicon.with_defaults()
+    lex = lang.DEFAULT_LEXICON
     for i in range(1, 41):
         lex = lex.add(f"a{i}", f"a{i + 1}")
     assert {lex.canon(f"a{i}") for i in range(1, 42)} == {"a41"}
@@ -438,7 +454,7 @@ def test_a_long_chain_keeps_its_meaning():
 ])
 def test_entry_refused_unless_each_phrase_keeps_one_normal_form(
         entries, refused, message):
-    lex = Lexicon.with_defaults()
+    lex = lang.DEFAULT_LEXICON
     for entry in entries:
         lex = lex.add(*entry)
     before = lex.entries()
@@ -449,7 +465,7 @@ def test_entry_refused_unless_each_phrase_keeps_one_normal_form(
 
 
 def test_an_expansion_that_holds_its_surface_in_a_longer_phrase_is_kept():
-    lex = Lexicon.with_defaults()
+    lex = lang.DEFAULT_LEXICON
     lex = lex.add("man", "c e d")
     lex = lex.add("e c", "e men")  # "e c e d" holds "e c", but never rewrites
     assert lex.canon("e c") == "e c e d"
@@ -462,7 +478,7 @@ def test_an_expansion_that_holds_its_surface_in_a_longer_phrase_is_kept():
 def test_a_doubling_chain_is_refused_past_the_word_limit(links, refused):
     """A reading may hold MAX_WORDS words; the entry that would pass that
     is refused before the reading is built, so refusing it is cheap."""
-    lex, start = Lexicon.with_defaults(), time.perf_counter()
+    lex, start = lang.DEFAULT_LEXICON, time.perf_counter()
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
@@ -478,7 +494,7 @@ def test_a_doubling_chain_is_refused_past_the_word_limit(links, refused):
 
 
 def test_replacing_a_link_rereads_the_chain_through_it():
-    lex = Lexicon.with_defaults()
+    lex = lang.DEFAULT_LEXICON
     for i in range(1, 6):
         lex = lex.add(f"a{i}", f"a{i + 1}")
     lex = lex.add("a3", "b men")
@@ -503,7 +519,7 @@ _pool_phrase = st.lists(st.sampled_from(_POOL), min_size=1,
 def test_lexicon_matches_a_rewriting_oracle(entries, probes):
     """Each accepted entry leaves every phrase one normal form, which canon
     gives; each refused one would give some phrase two, or a loop."""
-    lex, mapping = Lexicon.with_defaults(), dict(lang.PLURAL_DEFAULTS)
+    lex, mapping = lang.DEFAULT_LEXICON, dict(lang.PLURAL_DEFAULTS)
     for surface, canonical in entries:
         if surface == canonical:
             continue

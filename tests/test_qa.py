@@ -234,6 +234,10 @@ def test_stage_matrix_traced_output():
      ["yes (proven)",
       "  1. [asserted] membership: socrates in kb = yes",
       "  2. [asserted] proposition: all kb are kd"]),
+    # no membership of x to cite: the set it is asked about is empty
+    (["X sees moon.", "All kc are ka.", "No kc are ka.", "Is X a kc?"],
+     ["no (proven)",
+      "  1. [deduced] witness: x reaches ka and not ka"]),
 ])
 def test_derived_verdicts_come_from_entailment(lines, expected):
     code, out = run_repl(":trace on\n" + "".join(line + "\n" for line in lines))
@@ -711,6 +715,20 @@ def test_late_lexicon_entry_in_a_file_is_refused_at_its_line(tmp_path,
     _, out = run_repl(":load late.kb\n")
     assert out == f"error: {message}\n"
 
+
+
+def test_empty_lexicon_surface_is_refused_and_never_saved(tmp_path):
+    session = Session()
+    with pytest.raises(lang.ParseError,
+                       match="^empty lexicon surface form at offset 0$"):
+        session.assert_line("lexicon:  = y.")
+    assert session.lexicon.entries() == []
+    path = tmp_path / "empty.kb"
+    path.write_text("Socrates is a man.\nlexicon:  = y.\n")
+    with pytest.raises(LoadError) as err:
+        load_kb(str(path))
+    assert str(err.value) \
+        == f"{path}:2: empty lexicon surface form at offset 0"
 
 @pytest.mark.parametrize("stored, entry, question", [
     ("Some astronauts are socrates.", "lexicon: socrates = astronauts.",

@@ -146,6 +146,12 @@ def test_eval_fresh_pair_unknown():
     assert evaluate(kb, "A", "x", "y") is UNKNOWN
 
 
+def test_eval_stored_contradictory_defeats_a_universal():
+    kb = KnowledgeBase()
+    store(kb, "O", "a", "b")
+    assert evaluate(kb, "A", "a", "b") is FALSE
+
+
 def test_eval_particular_witness():
     kb = KnowledgeBase()
     kb.assert_membership(kb.upsert_entity("x"), kb.upsert_entity("s"), TRUE)
