@@ -38,16 +38,22 @@ settled membership is a *unit* of its element.
   elements' labels.  A membership write only marks its element; the next
   read of the classes re-files the marked elements, so writes stay as
   cheap as they were and a read costs what changed since the last one.
+- :meth:`reaches` keeps, by their units, the walks
+  :mod:`~exigraph.syllogistics` has made over the implications: the
+  literals each reached and the set where it clashed, if any.  A walk
+  depends only on the implications, so the reaches are dropped whenever
+  an A or E row is filed or unfiled, and at no other time.
 
 An overwrite that makes a row stop qualifying takes it out of the index.
 Only this module reads the maps: others call ``memberships(e)``,
 ``edges(e)``, ``rows(e)``, ``members(s)``, ``members_true(s)``,
 ``edges_into(t, verb)``, ``implications()``, ``particulars()``,
-``units(e)`` or ``unit_classes()``, and read what ``edges_into``,
-``implications``, ``particulars`` and ``unit_classes`` return without
-changing it.  Every admitted write bumps the revision, and the item it
-stores is named after the revision it creates (``#<revision>``); a
-refused write moves neither.
+``units(e)``, ``unit_classes()`` or ``reaches()``, and read what
+``edges_into``, ``implications``, ``particulars`` and ``unit_classes``
+return without changing it; ``syllogistics`` adds the reaches it walks
+to what ``reaches`` returns.  Every admitted write bumps the revision,
+and the item it stores is named after the revision it creates
+(``#<revision>``); a refused write moves neither.
 """
 
 from __future__ import annotations
@@ -140,6 +146,8 @@ def canonical_label(label: str) -> str:
 
 
 Literal = tuple[int, bool]  # (set entity id, in the set?)
+# the literals a walk reached, and the set it reached in and out of, or None
+Reach = tuple[set[Literal], Optional[int]]
 
 
 def clauses(form: str, s: int, p: int) -> tuple[tuple[Literal, Literal], ...]:
@@ -185,6 +193,7 @@ class KnowledgeBase:
         self._holders: dict[tuple[Literal, ...], set[int]] = {}
         self._class_of: dict[int, tuple[Literal, ...]] = {}
         self._unfiled: set[int] = set()  # elements written since the last read
+        self._reaches: dict[tuple[Literal, ...], Reach] = {}  # units -> reach
         self._revision = 0
         self._next_entity = 1
         # the distinguished root; anchors existence_degree axiomatically
@@ -293,6 +302,7 @@ class KnowledgeBase:
         if row.form in ("I", "O"):
             _refile(self._particular_keys, self._particulars, key, row, filed)
             return
+        self._reaches.clear()
         for src, dst in clauses(row.form, row.subject, row.predicate):
             keys = self._implies_keys.setdefault(src, [])
             lits = self._implies.setdefault(src, [])
@@ -351,6 +361,11 @@ class KnowledgeBase:
     def particulars(self) -> list[Proposition]:
         """The stated I and O rows, in :meth:`propositions` order."""
         return self._particulars
+
+    def reaches(self) -> dict[tuple[Literal, ...], Reach]:
+        """The walks over :meth:`implications` made since an A or E row
+        last changed them, by their units."""
+        return self._reaches
 
     def units(self, element: Entity) -> tuple[Literal, ...]:
         """``element``'s units, in set label order."""

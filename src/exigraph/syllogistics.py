@@ -25,10 +25,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import (Callable, Collection, Iterable, Iterator, Optional,
+                    Sequence)
 
 from .kb import (Entity, Kind, KnowledgeBase, Literal, Proposition,
-                 Provenance, clauses)
+                 Provenance, Reach, clauses)
 from .lang import READS
 from .logic3 import FALSE, TRUE, UNKNOWN, Value3
 
@@ -270,16 +271,36 @@ def contradictions(kb: KnowledgeBase) -> list[str]:
 #
 # The KB keeps the implications, the stated I and O rows and the classes of
 # elements with the same units, each with its lowest label, filed by the
-# writes that store the rows (see ``kb``).  A check only reads them: the
-# denial of I or O is laid over a copy of the graph's top level, never
-# written into the KB's lists.  Witnesses are walked in one fixed order and
-# the first clash is the one reported, so a check is deterministic.  A
-# did-question asks A(t, s) for every actor t: :func:`subset_of` answers
-# them all from one walk.
+# writes that store the rows (see ``kb``).  It also keeps the reach of each
+# witness and literal walked over the implications, until an A or E row
+# changes them.  The denial of A, E, in or out is one more witness, walked
+# on its own.  The denial of I or O is one more clause, so every witness
+# must be checked against it, and the stored reaches decide which clashes.
+# The denial of I(s,p) is s -> not p and p -> not s, that of O(s,p) is
+# s -> p and not p -> not s: both are s -> q with its contrapositive.
+# Every clause is filed with its contrapositive, so a walk from not t
+# reaches not u exactly when a walk from u reaches t.  Take a witness whose
+# reach R does not clash already.  If R holds s, the walk with the denial
+# adds the reach of q, and it clashes iff R merged with that reach holds
+# some set in and out, or the reach of q clashes alone.  If R holds not q
+# but not s, the walk adds the reach of not s, which holds only negative
+# literals; a clash there is some not t with t in R, and then t reaches s,
+# so s is in R after all.  A reach with neither uses no new clause.  For I,
+# q is not p, whose reach holds only negative literals, and not t for each
+# t that reaches p; so R merged with it clashes iff R holds p, and the
+# reach of not p need not be walked.
+#
+# Only the first witness that clashes is walked again, over a copy of the
+# graph's top level with the denial laid over it, so the set it names is
+# the one a walk with the denial finds; the KB's lists are never written.
+# Witnesses are taken in one fixed order and the first clash is the one
+# reported, so a check is deterministic.  A did-question asks A(t, s) for
+# every actor t: :func:`subset_of` answers them all from the stored reach
+# of not s.
 
 
 def _reach(graph: dict[Literal, list[Literal]], units: Sequence[Literal]
-           ) -> tuple[set[Literal], Optional[int]]:
+           ) -> Reach:
     """The literals the units reach, and a set they reach both in and out
     of, or None; the walk stops at the first such set."""
     seen = set(units)
@@ -301,6 +322,16 @@ def _clash(graph: dict[Literal, list[Literal]], units: Sequence[Literal]
     return _reach(graph, units)[1]
 
 
+def _stored_reach(kb: KnowledgeBase, units: tuple[Literal, ...]) -> Reach:
+    """The reach of ``units`` over the KB's implications, walked only when
+    the KB does not hold it already."""
+    reaches = kb.reaches()
+    found = reaches.get(units)
+    if found is None:
+        found = reaches[units] = _reach(kb.implications(), units)
+    return found
+
+
 def subset_of(kb: KnowledgeBase, s: Entity) -> Callable[[Entity], bool]:
     """A test of whether the KB entails "all t are s", for any entity t,
     from one walk: it agrees with ``entails(kb, "A", t, s)``.
@@ -316,15 +347,17 @@ def subset_of(kb: KnowledgeBase, s: Entity) -> Callable[[Entity], bool]:
     negative ones.
     """
     graph = kb.implications()
-    reached = _reach(graph, [(s.id, False)])[0]
+    reached = _stored_reach(kb, ((s.id, False),))[0]
     return lambda t: (t.id, False) in reached or (
-        (t.id, True) in graph and _clash(graph, [(t.id, True)]) is not None)
+        (t.id, True) in graph
+        and _stored_reach(kb, ((t.id, True),))[1] is not None)
 
 
-def _some(s: Entity, p: Entity, inside: bool) -> tuple[str, list[Literal]]:
+def _some(s: Entity, p: Entity, inside: bool
+          ) -> tuple[str, tuple[Literal, ...]]:
     """The witness of "some s are p" (or "are not p"), with its label."""
     return (READS["I" if inside else "O"].format(s.label, p.label),
-            [(s.id, True), (p.id, inside)])
+            ((s.id, True), (p.id, inside)))
 
 
 def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
@@ -337,10 +370,11 @@ def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
     "<witness> reaches <set> and not <set>".  The denial of A, E, in and
     out is one more witness, checked alone (an element's own memberships
     first, so a KB that contradicts itself there says so); the denial of
-    I and O is one more clause, checked against every witness.  With
-    ``existential_import`` every set is nonempty: one witness {t} per set.
-    The check reads the index the KB keeps and writes nothing, so its cost
-    follows the number of distinct witnesses, not of elements.
+    I and O is one more clause, checked against every witness's stored
+    reach.  With ``existential_import`` every set is nonempty: one witness
+    {t} per set.  The check writes nothing to the KB but the reaches it
+    walks, so its cost follows the number of distinct witnesses not yet
+    walked over the graph, not of elements.
     """
     graph = kb.implications()
     if form in ("in", "out"):
@@ -349,50 +383,61 @@ def entails(kb: KnowledgeBase, form: str, s: Entity, p: Entity,
             (s.label, units), (s.label, units + [(p.id, form == "out")])])
     if form in ("A", "E"):
         return _first_clash(kb, graph, [_some(s, p, form == "E")])
-    graph = dict(graph)
-    for src, dst in clauses("E" if form == "I" else "A", s.id, p.id):
-        graph[src] = [*graph.get(src, ()), dst]
-    return _witness_clash(kb, graph, existential_import)
+    # the denial is s -> q with its contrapositive; ``opposite`` holds the
+    # complements of q's reach, which for I is just p
+    s_in = (s.id, True)
+    if form == "I":
+        q_clash, opposite = None, {(p.id, True)}
+    else:
+        q_seen, q_clash = _stored_reach(kb, ((p.id, True),))
+        opposite = {(set_, not inside) for set_, inside in q_seen}
+    for label, units in _witnesses(kb, existential_import, (s.id, p.id)):
+        seen, set_ = _stored_reach(kb, units)
+        if set_ is not None or (s_in in seen and (
+                q_clash is not None or not opposite.isdisjoint(seen))):
+            graph = dict(graph)
+            for src, dst in clauses("E" if form == "I" else "A", s.id, p.id):
+                graph[src] = [*graph.get(src, ()), dst]
+            return _render(kb, label, _clash(graph, units))
+    return None
 
 
 def inconsistency(kb: KnowledgeBase) -> Optional[str]:
     """The first witness that clashes with nothing denied, as
     "<witness> reaches <set> and not <set>"; None iff the KB has a model."""
-    return _witness_clash(kb, kb.implications(), False)
+    for label, units in _witnesses(kb, False):
+        set_ = _stored_reach(kb, units)[1]
+        if set_ is not None:
+            return _render(kb, label, set_)
+    return None
 
 
-def _witness_clash(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
-                   existential_import: bool) -> Optional[str]:
-    """The first witness that clashes, rendered: each stated I and O, then
-    the classes of elements by their lowest label, then with existential
-    import each set the graph mentions.  A class is named by its
-    lowest-label element, the one a walk per element in label order would
-    meet first."""
-    witnesses = itertools.chain(
-        (_some(kb.by_id(q.subject), kb.by_id(q.predicate), q.form == "I")
-         for q in kb.particulars()),
-        sorted((first, units) for units, first in kb.unit_classes().items()))
+def _witnesses(kb: KnowledgeBase, existential_import: bool,
+               denied: Collection[int] = ()
+               ) -> Iterator[tuple[str, tuple[Literal, ...]]]:
+    """Every witness with its label: each stated I and O, then the classes
+    of elements by their lowest label, then with existential import each
+    set the graph or the ``denied`` proposition mentions.  A class is named
+    by its lowest-label element, the one a walk per element in label order
+    would meet first."""
+    for q in kb.particulars():
+        yield _some(kb.by_id(q.subject), kb.by_id(q.predicate), q.form == "I")
+    yield from sorted((first, units)
+                      for units, first in kb.unit_classes().items())
     if existential_import:
-        witnesses = itertools.chain(witnesses, [
-            (f"some {kb.label(set_)}", [(set_, True)])
-            for set_ in sorted({set_ for set_, _ in graph}, key=kb.label)])
-    return _first_clash(kb, graph, witnesses)
+        sets = {set_ for set_, _ in kb.implications()}.union(denied)
+        for set_ in sorted(sets, key=kb.label):
+            yield f"some {kb.label(set_)}", ((set_, True),)
 
 
 def _first_clash(kb: KnowledgeBase, graph: dict[Literal, list[Literal]],
                  witnesses: Iterable[tuple[str, Sequence[Literal]]]
                  ) -> Optional[str]:
-    """The first of ``witnesses`` whose units clash, rendered; units that
-    reached no clash before are not walked again."""
-    walked: set[tuple[Literal, ...]] = set()
+    """The first of ``witnesses`` whose units clash, rendered."""
     for label, units in witnesses:
-        key = tuple(units)
-        if key in walked:
-            continue
         set_ = _clash(graph, units)
         if set_ is not None:
             return _render(kb, label, set_)
-        walked.add(key)
     return None
 
 

@@ -7,6 +7,11 @@ model of the statements.  The completeness gap is printed: the entailed
 answers that still come back ``unknown``.  So is the number of proven
 answers on KBs with no model, which hold only vacuously; a KB that entails
 both verdicts should answer ``unknown``, so this number should go down.
+
+The reaches the KB keeps between A/E writes are checked differentially:
+a live session that takes writes and questions in turn must answer as a
+session rebuilt from the same writes, and its I/O checks as a walk of
+every witness over the graph with the denial.
 """
 
 import itertools
@@ -15,7 +20,8 @@ import random
 import pytest
 
 from exigraph import cli
-from exigraph.kb import Kind, KnowledgeBase, Provenance
+from exigraph.kb import Kind, KnowledgeBase, Provenance, clauses
+from exigraph.lang import READS
 from exigraph.logic3 import FALSE, TRUE, UNKNOWN
 from exigraph.qa import PROVEN, Session
 from exigraph.syllogistics import (_reach, closure, contradictions,
@@ -284,3 +290,138 @@ def test_a_kb_that_contradicts_itself_answers_unknown_naming_the_witness():
     assert ans.render() == "unknown"
     assert [step.render() for step in ans.trace] == [
         "[deduced] witness: some ka are kc reaches kb and not kb"]
+
+
+# -- stored reaches --------------------------------------------------------
+
+def _walk(graph, units):
+    """The first set ``units`` reach both in and out of, or None, walked as
+    ``entails`` walks."""
+    seen, todo = set(units), list(units)
+    while todo:
+        set_, inside = todo.pop()
+        if (set_, not inside) in seen:
+            return set_
+        for lit in graph.get((set_, inside), ()):
+            if lit not in seen:
+                seen.add(lit)
+                todo.append(lit)
+    return None
+
+
+def _every_witness_walk(kb, form, s, p, existential_import):
+    """``entails`` for I and O with no stored reach: every witness is
+    walked over a copy of the graph that holds the denial."""
+    graph = dict(kb.implications())
+    for src, dst in clauses("E" if form == "I" else "A", s.id, p.id):
+        graph[src] = [*graph.get(src, ()), dst]
+    witnesses = [(READS[q.form].format(kb.label(q.subject),
+                                       kb.label(q.predicate)),
+                  [(q.subject, True), (q.predicate, q.form == "I")])
+                 for q in kb.particulars()]
+    witnesses += sorted((first, list(units))
+                        for units, first in kb.unit_classes().items())
+    if existential_import:
+        witnesses += [(f"some {kb.label(t)}", [(t, True)])
+                      for t in sorted({t for t, _ in graph}, key=kb.label)]
+    for label, units in witnesses:
+        set_ = _walk(graph, units)
+        if set_ is not None:
+            return f"{label} reaches {kb.label(set_)} and not {kb.label(set_)}"
+    return None
+
+
+RANDOM_TERMS = [f"k{c}" for c in "abcdefghijkl"]
+RANDOM_INDIVIDUALS = ["xa", "xb", "xc"]
+
+
+def _random_write(rng, terms, universals):
+    """One write ``(form, a, b, value)``: an A/E/I/O row, a TRUE or FALSE
+    membership, or a new value over an A or E row written before, which
+    files the row again or takes it out of the graph."""
+    kind = rng.choice("AAAEEIOiiiff=")
+    if kind == "=" and universals:
+        return (*rng.choice(universals), rng.choice([TRUE, FALSE, UNKNOWN]))
+    if kind in "if":
+        return ("in", rng.choice(RANDOM_INDIVIDUALS), rng.choice(terms),
+                TRUE if kind == "i" else FALSE)
+    form = kind if kind in "AEIO" else "A"
+    if form in "AE":
+        universals.append((form, *rng.sample(terms, 2)))
+        return (*universals[-1], TRUE)
+    return (form, *rng.sample(terms, 2), TRUE)
+
+
+def _write(kb, write):
+    form, a, b, value = write
+    if form == "in":
+        kb.assert_membership(kb.entity(a), kb.entity(b), value)
+    else:
+        kb.assert_proposition(form, kb.entity(a), kb.entity(b), value)
+
+
+def _rebuilt(terms, writes):
+    """A session with every term and individual, mentioned by a row or
+    not, and ``writes`` applied in order."""
+    session = Session()
+    for label in RANDOM_INDIVIDUALS + terms:
+        session.kb.upsert_entity(label)
+    for write in writes:
+        _write(session.kb, write)
+    return session
+
+
+def _checks(session, x, s, p, existential_import):
+    """What ``entails`` says of x in s, x out of s and A/E/I/O(s, p)."""
+    kb = session.kb
+    x, s, p = kb.entity(x), kb.entity(s), kb.entity(p)
+    return [entails(kb, form, x if form in ("in", "out") else s,
+                    s if form in ("in", "out") else p, existential_import)
+            for form in ("in", "out", "A", "E", "I", "O")]
+
+
+def _said(session, line):
+    ans = session.ask_line(line)
+    return ans.render(), [step.render() for step in ans.trace]
+
+
+def test_stored_reaches_answer_as_a_session_rebuilt_fresh():
+    # one live session takes writes and questions in turn; after every
+    # write it must answer as a session rebuilt from the same writes, and
+    # its I and O checks must name the clash that a walk of every witness
+    # over the graph with the denial names
+    rng = random.Random(25)
+    clashed = 0
+    for _ in range(60):
+        terms = RANDOM_TERMS[:rng.randint(3, 12)]
+        writes, universals = [], []
+        live = _rebuilt(terms, writes)
+        for _ in range(rng.randint(4, 12)):
+            writes.append(_random_write(rng, terms, universals))
+            _write(live.kb, writes[-1])
+            fresh = _rebuilt(terms, writes)
+            for _ in range(2):
+                x = rng.choice(RANDOM_INDIVIDUALS)
+                s, p = rng.sample(terms, 2)
+                for existential_import in (False, True):
+                    got = _checks(live, x, s, p, existential_import)
+                    assert got == _checks(fresh, x, s, p, existential_import), \
+                        (writes, x, s, p)
+                    kb = live.kb
+                    for form, said in zip("IO", got[4:]):
+                        assert said == _every_witness_walk(
+                            kb, form, kb.entity(s), kb.entity(p),
+                            existential_import), (writes, form, s, p)
+                        clashed += said is not None
+                    live.existential_import = existential_import
+                    fresh.existential_import = existential_import
+                    for line in (f"Is {x} a {s}?", f"Are all {s} {p}?",
+                                 f"Are any {s} {p}?"):
+                        assert _said(live, line) == _said(fresh, line), \
+                            (writes, line)
+                within = [subset_of(session.kb, session.kb.entity(s))
+                          for session in (live, fresh)]
+                assert [within[0](live.kb.entity(t)) for t in terms] \
+                    == [within[1](fresh.kb.entity(t)) for t in terms]
+            assert inconsistency(live.kb) == inconsistency(fresh.kb)
+    assert clashed > 0

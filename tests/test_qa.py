@@ -258,14 +258,14 @@ def test_questions_read_only_what_they_ask_about(monkeypatch):
         s.assert_line(f"P{i} is a {c}.")
         s.assert_line(f"P{i} saw {'sea' if c == 'bird' else 'lake'}.")
     walks = 0
-    clash = syllogistics._clash
+    reach = syllogistics._reach
 
     def counted(*args):
         nonlocal walks
         walks += 1
-        return clash(*args)
+        return reach(*args)
 
-    monkeypatch.setattr(syllogistics, "_clash", counted)
+    monkeypatch.setattr(syllogistics, "_reach", counted)
     assert s.ask_line("Are any bird fish?").verdict is UNKNOWN
     # one walk per distinct witness: the four units {category} of the
     # "some" check, and "some bird are fish" for the "none" check; a walk
@@ -279,6 +279,54 @@ def test_questions_read_only_what_they_ask_about(monkeypatch):
     assert s.ask_line("Did bird saw sea?").render() == "yes (proven)"
     # the lookup and the conjecture over the rules both come up empty
     assert s.ask_line("Did fish saw sea?").render() == "unknown"
+
+
+def test_a_question_walks_again_only_after_the_graph_changes(monkeypatch):
+    # the KB keeps each witness's reach until an A or E row changes the
+    # implications; the "no" half of an are-any question, the denial of
+    # E, is one witness that is walked directly every time
+    s = Session()
+    for c in ("bird", "fish", "snake"):
+        s.assert_line(f"All {c} are animal.")
+    for i in range(12):
+        s.assert_line(f"P{i} is a {('bird', 'fish', 'snake')[i % 3]}.")
+    walked = []
+    reach = syllogistics._reach
+
+    def counted(graph, units):
+        walked.append(tuple(units))
+        return reach(graph, units)
+
+    monkeypatch.setattr(syllogistics, "_reach", counted)
+    kb = s.kb
+    some_bird_fish = ((kb.entity("bird").id, True),
+                      (kb.entity("fish").id, True))
+
+    def walks(line="Are any bird fish?"):
+        walked.clear()
+        assert s.ask_line(line).verdict is UNKNOWN
+        return walked[:]
+
+    # the first asking walks the three classes as well
+    assert len(walks()) == 4
+    # asked again, the every-witness check of "some bird are fish" reads
+    # the stored reaches and walks nothing
+    assert walks() == [some_bird_fish]
+    # a new member of a class that exists already adds no witness
+    s.assert_line("P12 is a bird.")
+    assert walks() == [some_bird_fish]
+    # an A statement changes the graph: every class is walked again
+    s.assert_line("All animal are living.")
+    assert len(walks()) == 4
+    assert walks() == [some_bird_fish]
+    # and so does the overwrite that takes an A row out of the graph
+    kb.assert_proposition("A", kb.entity("animal"), kb.entity("living"),
+                          UNKNOWN)
+    assert len(walks()) == 4
+    # an I statement adds a witness of its own, and only that is walked
+    s.assert_line("Some snake are pets.")
+    assert len(walks()) == 2
+    assert walks() == [some_bird_fish]
 
 
 def _categories_world(individuals):
