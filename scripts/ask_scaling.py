@@ -17,7 +17,10 @@ changes the graph, so a question asked again walks only what it does not
 read from the KB.  The walks are counted on a second world built from
 the same seed, asked the same questions in the same order, so counting
 costs the timings nothing; the counts repeat exactly from run to run,
-where latencies do not.
+where latencies do not.  Last, per size, every entity's
+``existence_degree`` is taken once, each call timed alone, and the p50
+of one call is printed in microseconds: a walk reads the rows of only
+the entities it reaches, so this should not grow with the KB.
 
     python scripts/ask_scaling.py [--individuals 60 600 3000]
                                   [--questions 200] [--seed 1]
@@ -117,6 +120,13 @@ def main() -> None:
             print(f"{n:>11}  {kind:<8}  {statistics.median(times):>8.3f}  "
                   f"{deciles[8]:>8.3f}  {statistics.mean(first):>6.2f}  "
                   f"{max(first):>4}  {statistics.mean(again):>6.2f}")
+        kb, times = session.kb, []
+        for entity in kb.entities():
+            start = time.perf_counter()
+            kb.existence_degree(entity)
+            times.append((time.perf_counter() - start) * 1e6)
+        print(f"{n:>11}  existence_degree p50 {statistics.median(times):.2f} us"
+              f" per call, over all {len(times)} entities")
 
 
 if __name__ == "__main__":

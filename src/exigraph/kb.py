@@ -18,7 +18,8 @@ files the item in a reverse map: memberships set -> element, and edges
 (target, verb) -> a list in source label order, filed by ``bisect``
 beside the source labels as the entailment index's lists are.  So a
 set's members, and the edges of one verb into an entity, are one lookup
-away too.
+away too.  An :meth:`~KnowledgeBase.existence_degree` walk reads the rows
+of only the entities it reaches.
 
 The KB also keeps the index that :func:`~exigraph.syllogistics.entails`
 reads, so a question walks it instead of rebuilding it from every row.
@@ -42,7 +43,8 @@ settled membership is a *unit* of its element.
   :mod:`~exigraph.syllogistics` has made over the implications: the
   literals each reached and the set where it clashed, if any.  A walk
   depends only on the implications, so the reaches are dropped whenever
-  an A or E row is filed or unfiled, and at no other time.
+  an A or E row is filed or unfiled; otherwise only a class's reach is
+  dropped, when its last element leaves it.
 
 An overwrite that makes a row stop qualifying takes it out of the index.
 Only this module reads the maps: others call ``memberships(e)``,
@@ -364,7 +366,8 @@ class KnowledgeBase:
 
     def reaches(self) -> dict[tuple[Literal, ...], Reach]:
         """The walks over :meth:`implications` made since an A or E row
-        last changed them, by their units."""
+        last changed them, by their units, less those of the classes that
+        have lost their last element since."""
         return self._reaches
 
     def units(self, element: Entity) -> tuple[Literal, ...]:
@@ -386,6 +389,7 @@ class KnowledgeBase:
                 holders.discard(element)
                 if not holders:
                     del self._classes[old], self._holders[old]
+                    self._reaches.pop(old, None)
                 elif self._classes[old] == label:
                     self._classes[old] = min(map(self.label, holders))
             units = self.units(self.by_id(element))
@@ -424,18 +428,22 @@ class KnowledgeBase:
         Disjunction (or3) over all membership chains element -> ... -> root
         of the conjunction (and3) of assertion values along each chain.
         A chain that revisits an entity ends in an UNKNOWN tail (paradox
-        tolerance); a chain that dead-ends contributes nothing.
+        tolerance); a chain that dead-ends contributes nothing.  The walk
+        reads the rows of only the entities it reaches, so its cost grows
+        with the chains it walks, not with the size of the KB.
         """
-        root = self.root
-        outgoing = {element: tuple(by_set.values())
-                    for element, by_set in self._memberships.items()}
+        # each reached element's rows, copied once a call into a tuple: the
+        # walk runs over them again on every path through the element
+        root, outgoing = self.root.id, {}
 
         def walk(node: int, visited: frozenset[int]) -> Optional[Value3]:
-            if node == root.id:
+            if node == root:
                 return TRUE
             vis = visited | {node}
             contribs: list[Value3] = []
-            for m in outgoing.get(node, ()):
+            if node not in outgoing:
+                outgoing[node] = tuple(self._memberships.get(node, {}).values())
+            for m in outgoing[node]:
                 if m.set_ in vis:
                     contribs.append(and3(m.value, UNKNOWN))
                 else:

@@ -16,7 +16,7 @@ import functools
 import itertools
 
 from exigraph.kb import Kind, Provenance
-from exigraph.logic3 import FALSE, TRUE, UNKNOWN, Value3, all3
+from exigraph.logic3 import FALSE, TRUE, UNKNOWN, Value3
 
 # -- syllogism validity over bitmask models -------------------------------
 
@@ -226,7 +226,16 @@ def oracle_existence_degree(memberships: dict[tuple[str, str], Value3],
                             start: str, root: str) -> Value3:
     """or3 over every chain start -> ... -> root (and3 of values along it);
     a chain hitting a repeated node contributes its prefix and3 UNKNOWN;
-    dead ends contribute nothing."""
+    dead ends contribute nothing.  Both folds are written out here, not
+    taken from ``logic3``."""
+
+    def and3_fold(chain: list[Value3]) -> Value3:
+        if FALSE in chain:
+            return FALSE
+        if all(v is TRUE for v in chain):
+            return TRUE
+        return UNKNOWN
+
     contribs: list[Value3] = []
     if start == root:
         return TRUE
@@ -238,9 +247,9 @@ def oracle_existence_degree(memberships: dict[tuple[str, str], Value3],
                 continue
             chain = values + [value]
             if set_ == root:
-                contribs.append(all3(chain))
+                contribs.append(and3_fold(chain))
             elif set_ in path:
-                contribs.append(all3(chain + [UNKNOWN]))
+                contribs.append(and3_fold(chain + [UNKNOWN]))
             else:
                 stack.append((set_, path + (set_,), chain))
     if not contribs:

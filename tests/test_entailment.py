@@ -331,6 +331,24 @@ def _every_witness_walk(kb, form, s, p, existential_import):
     return None
 
 
+def test_a_class_that_loses_its_last_element_drops_its_reach():
+    kb = KnowledgeBase()
+    x, a, b = (kb.upsert_entity(label) for label in ("x", "a", "b"))
+    kb.assert_proposition("A", a, b, TRUE)
+    kb.assert_membership(x, a, TRUE)
+    in_a = kb.units(x)
+    assert inconsistency(kb) is None
+    assert set(kb.reaches()) == {in_a}
+    # x leaves the class {a} for {a, b}, and {a} has no element left
+    kb.assert_membership(x, b, TRUE)
+    assert inconsistency(kb) is None
+    assert set(kb.reaches()) == {kb.units(x)}
+    # a walk that reaches the same units stores them again
+    kb.assert_membership(x, b, UNKNOWN)
+    assert inconsistency(kb) is None
+    assert set(kb.reaches()) == {in_a}
+
+
 RANDOM_TERMS = [f"k{c}" for c in "abcdefghijkl"]
 RANDOM_INDIVIDUALS = ["xa", "xb", "xc"]
 

@@ -203,6 +203,69 @@ def test_existence_degree_matches_chain_enumeration(memberships, start):
     assert got is want
 
 
+class _ReadLog(dict):
+    """A membership table that logs the element ids whose rows are read;
+    a read of the whole table logs every id."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.read = set()
+
+    def __getitem__(self, element):
+        self.read.add(element)
+        return super().__getitem__(element)
+
+    def get(self, element, default=None):
+        self.read.add(element)
+        return super().get(element, default)
+
+    def __iter__(self):
+        self.read.update(super().keys())
+        return super().__iter__()
+
+    def items(self):
+        self.read.update(super().keys())
+        return super().items()
+
+    def values(self):
+        self.read.update(super().keys())
+        return super().values()
+
+
+def test_a_walk_reads_the_rows_of_only_the_entities_it_reaches(kb):
+    for i in range(2000):
+        chain(kb, (f"u{i}", f"v{i % 7}", TRUE))
+    chain(kb, *((f"v{j}", "universe", TRUE) for j in range(7)))
+    chain(kb, ("x", "s", TRUE), ("s", "universe", TRUE))
+    kb._memberships = log = _ReadLog(kb._memberships)
+    assert kb.existence_degree(kb.entity("x")) is TRUE
+    assert log.read == {kb.entity("x").id, kb.entity("s").id}
+
+
+# elements no start drawn from ``labels`` can reach, since no membership
+# of ``memberships_st`` names them
+unreached_st = st.dictionaries(
+    st.tuples(st.sampled_from(list("fghij")),
+              st.sampled_from(list("abcdefghij") + ["universe"])),
+    st.sampled_from(VALUES), max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(memberships_st, unreached_st, labels)
+def test_memberships_the_start_cannot_reach_leave_its_degree(
+        memberships, unreached, start):
+    kb = KnowledgeBase()
+    chain(kb, *((elem, set_, value)
+                for (elem, set_), value in memberships.items()))
+    ent = kb.upsert_entity(start)
+    before = kb.existence_degree(ent)
+    chain(kb, *((elem, set_, value)
+                for (elem, set_), value in unreached.items()))
+    assert kb.existence_degree(ent) is before
+    assert before is oracle_existence_degree({**memberships, **unreached},
+                                             start, "universe")
+
+
 @settings(max_examples=100, deadline=None)
 @given(memberships_st, labels)
 def test_existence_degree_knowledge_monotone(memberships, start):
